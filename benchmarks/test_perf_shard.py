@@ -1,15 +1,17 @@
-"""Perf: pack-indexed sharded-store open vs the per-entry directory walk.
+"""Perf: frame-indexed sharded-store open vs the per-entry directory walk.
 
-Tracks what the sharded layout + per-shard pack index buy at suite scale:
-``SuiteFrame.open_dir`` over a store of ``REPRO_SHARD_N`` synthetic v2
-summaries (default 20k locally; CI's benchmark smoke runs 100k) must open
->= 5x faster through the warm pack index than through the per-entry walk
-(one listdir/stat/read/parse round trip per entry).  Both paths must
-produce identical frames -- the index is a read-path accelerator, never a
-second source of truth.  The artifact records the measured numbers so
-the perf trajectory is visible across PRs.
+Tracks what the sharded layout + per-shard frame index buy at suite
+scale: ``SuiteFrame.open_dir`` over a store of ``REPRO_SHARD_N``
+synthetic summaries (default 20k locally; CI's benchmark smoke runs
+100k) must open >= 5x faster through the warm frame index than
+``SuiteFrame.from_cache`` over the explicit ``cache.keys()`` (one
+listdir/stat/read/parse round trip per entry).  Both paths must produce
+identical frames -- the index is a read-path accelerator, never a second
+source of truth.  The artifact records the measured numbers so the perf
+trajectory is visible across PRs.
 """
 
+import gc
 import hashlib
 import json
 import os
@@ -26,6 +28,30 @@ from repro.runner.cache import _write_layout_marker
 N_ENTRIES = int(os.environ.get("REPRO_SHARD_N", "20000") or "20000")
 
 FLOOR = 5.0
+
+REPEATS = 5
+
+
+def _best_times(*fns):
+    """Fastest seconds and last result of each function over
+    :data:`REPEATS` rounds.
+
+    A sub-second timing on a shared host swings by more than the margin
+    over the floor, so each round calls every function once: a slow
+    spell hits all of them alike.  Garbage left by earlier calls (and
+    earlier tests) is collected before each call, so no call pays for
+    another's collection.
+    """
+    best = [float("inf")] * len(fns)
+    values = [None] * len(fns)
+    for _ in range(REPEATS):
+        for i, fn in enumerate(fns):
+            values[i] = None
+            gc.collect()
+            t0 = time.perf_counter()
+            values[i] = fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best, values
 
 
 def _populate(root, n):
@@ -67,20 +93,20 @@ def test_pack_indexed_open_dir_is_5x_faster(tmp_path):
     root = str(tmp_path / "store")
     keys = _populate(root, N_ENTRIES)
 
-    # cold open builds and persists the per-shard packs (charged once,
+    # cold open builds and persists the per-shard frames (charged once,
     # amortised over every later open -- measured for the record only)
     t0 = time.perf_counter()
     cold = SuiteFrame.open_dir(root)
     cold_s = time.perf_counter() - t0
     assert cold.keys == keys
 
-    t0 = time.perf_counter()
-    warm = SuiteFrame.open_dir(root)
-    warm_s = time.perf_counter() - t0
+    def walk():
+        cache = ResultCache(root=root, memory=False)
+        return SuiteFrame.from_cache(cache, keys=cache.keys())
 
-    t0 = time.perf_counter()
-    flat = SuiteFrame.open_dir(root, use_index=False)
-    flat_s = time.perf_counter() - t0
+    (warm_s, flat_s), (warm, flat) = _best_times(
+        lambda: SuiteFrame.open_dir(root), walk
+    )
 
     # identical frames either way: the index only changes the read cost
     assert warm.keys == flat.keys == keys
@@ -90,23 +116,24 @@ def test_pack_indexed_open_dir_is_5x_faster(tmp_path):
     )
     assert np.array_equal(warm.column("completed"), flat.column("completed"))
 
-    # the pack files really carry the warm path (one read per shard)
-    assert os.path.isdir(os.path.join(root, ".index"))
-    assert len(ResultCache(root=root, memory=False).indexed_summaries()) == (
-        N_ENTRIES
+    # the frame files really carry the warm path: one per shard
+    shards = [name for name in os.listdir(root) if not name.startswith(".")]
+    assert sorted(os.listdir(os.path.join(root, ".index"))) == sorted(
+        shard + ".frame.json" for shard in shards
     )
 
     speedup = flat_s / warm_s
     save_artifact(
         "perf_shard.txt",
-        "SuiteFrame.open_dir over %d v2 summaries (depth-2 sharded store)\n"
-        "cold (walk + build packs):  %8.2f s\n"
-        "warm (pack index):          %8.2f s\n"
-        "per-entry walk:             %8.2f s\n"
+        "SuiteFrame.open_dir over %d summaries (depth-2 sharded store)\n"
+        "cold (walk + build frames): %8.2f s\n"
+        "warm (frame index, best of %d): %5.2f s\n"
+        "per-entry walk (best of %d):    %5.2f s\n"
         "warm speedup vs walk: %.1fx (floor %.0fx)"
-        % (N_ENTRIES, cold_s, warm_s, flat_s, speedup, FLOOR),
+        % (N_ENTRIES, cold_s, REPEATS, warm_s, REPEATS, flat_s, speedup,
+           FLOOR),
     )
     assert speedup >= FLOOR, (
-        "pack-indexed open only %.1fx faster than the per-entry walk"
+        "frame-indexed open only %.1fx faster than the per-entry walk"
         % speedup
     )

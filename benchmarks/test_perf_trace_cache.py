@@ -11,7 +11,6 @@ measured numbers so the perf trajectory is visible across PRs.
 import json
 import os
 import time
-import warnings
 
 import numpy as np
 
@@ -79,11 +78,7 @@ def _legacy_roundtrip(intervals, tmpdir):
         )
     with open(path, "rb") as fh:
         loaded = json.loads(fh.read().decode("utf-8"))
-    # the row-oriented rebuild *is* the legacy path being measured; the
-    # shim it exercises is deprecated for production callers
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return TraceRecorder.from_rows(loaded["columns"], loaded["rows"])
+    return TraceRecorder.from_array(loaded["columns"], np.asarray(loaded["rows"]))
 
 
 def _columnar_roundtrip(intervals, tmpdir, key):

@@ -21,7 +21,7 @@ existing cache directory.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,10 +32,10 @@ from repro.analysis.stats import (
 )
 from repro.errors import SimulationError
 from repro.runner.cache import (
-    ARTIFACT_FORMAT,
     SUMMARY_COUNT_FIELDS,
     SUMMARY_FLOAT_FIELDS,
     ResultCache,
+    summary_frame,
     summary_row,
 )
 from repro.runner.spec import RunSpec
@@ -43,7 +43,7 @@ from repro.sim.metrics import (
     performance_loss_pct_batch,
     power_savings_pct_batch,
 )
-from repro.sim.run_result import RunResult, rows_to_matrix
+from repro.sim.run_result import RunResult
 
 #: Scalar summary fields gathered into float64 columns.
 FLOAT_FIELDS = SUMMARY_FLOAT_FIELDS
@@ -155,40 +155,23 @@ class SuiteFrame:
         keys: Optional[Sequence[str]] = None,
         mmap: bool = True,
         specs: Optional[Sequence[RunSpec]] = None,
-        use_index: bool = True,
     ) -> "SuiteFrame":
         """Frame over cached entries; traces stay on disk until touched.
 
-        ``keys=None`` opens every readable entry of the cache directory
-        (deterministic key order) -- by default through the per-shard
-        index (:meth:`~repro.runner.ResultCache.frame_chunks`): fully-v2
-        shards come back as pre-extracted *columnar* frame files, so a
-        warm 100k-entry store opens with a few hundred reads and no
-        per-entry work at all; ``use_index=False`` forces the per-entry
-        walk (same rows, same order).  v2 entries contribute their
-        summary JSON now and a lazily *memory-mapped* trace blob later;
-        legacy v1 entries (trace rows inline in the JSON) decode their
-        matrix on first touch -- nothing smaller exists on disk for
-        them.  With explicit ``keys``, a missing or corrupt entry
-        raises; the directory walk skips unreadable debris instead.
+        ``keys=None`` opens every well-formed entry of the cache
+        directory, in key order, through the per-shard columnar index
+        (:meth:`~repro.runner.ResultCache.frame_chunks`): a warm
+        100k-entry store opens with a few hundred reads and no
+        per-entry work at all, and unreadable or malformed summaries
+        are skipped.  Explicit ``keys`` are read entry by entry, and a
+        missing, unreadable or malformed entry raises.  Either way every
+        row's trace blob is opened -- memory-mapped with ``mmap=True``
+        -- on first touch.
         """
-        explicit = keys is not None
-        if not explicit and use_index and specs is None:
-            return cls._from_chunks(cache, mmap)
-        pairs: List[Tuple[str, Optional[dict]]]
-        if explicit:
-            keys = list(keys)
-            pairs = [(key, cache.load_summary(key)) for key in keys]
-        elif use_index:
-            pairs = list(cache.indexed_summaries())
-            keys = [key for key, _ in pairs]
+        if keys is None:
+            frames = cache.frame_chunks()
         else:
-            keys = cache.keys()
-            pairs = [(key, cache.load_summary(key)) for key in keys]
-        if specs is not None and len(specs) != len(keys):
-            raise SimulationError(
-                "%d specs for %d cache keys" % (len(specs), len(keys))
-            )
+            frames = [summary_frame(_summary_rows(cache, keys))]
         benchmarks: List[str] = []
         modes: List[str] = []
         rows: Dict[str, List] = {
@@ -196,116 +179,31 @@ class SuiteFrame:
         }
         completed: List[bool] = []
         trace_columns: List[List[str]] = []
-        loaders: List[TraceLoader] = []
         kept: List[str] = []
-        kept_specs: List[RunSpec] = []
-        for i, (key, payload) in enumerate(pairs):
-            if payload is None:
-                if explicit:
-                    raise SimulationError(
-                        "cache entry %s is missing or unreadable" % key
-                    )
-                continue
-            row = summary_row(payload)
-            if row is None:
-                if explicit:
-                    raise SimulationError(
-                        "cache entry %s has a malformed summary" % key
-                    )
-                continue
-            floats, counts, benchmark, mode, done, columns = row
-            for field, value in zip(FLOAT_FIELDS, floats):
-                rows[field].append(value)
-            for field, value in zip(COUNT_FIELDS, counts):
-                rows[field].append(value)
-            benchmarks.append(benchmark)
-            modes.append(mode)
-            completed.append(done)
-            trace_columns.append(columns)
-            loaders.append(_cache_loader(cache, key, payload, mmap))
-            kept.append(key)
-            if specs is not None:
-                kept_specs.append(specs[i])
+        for frame in frames:
+            kept.extend(frame["keys"])
+            benchmarks.extend(frame["benchmark"])
+            modes.extend(frame["mode"])
+            completed.extend(frame["completed"])
+            for field in FLOAT_FIELDS + COUNT_FIELDS:
+                rows[field].extend(frame[field])
+            tables = frame["trace_columns"]
+            trace_columns.extend(tables[i] for i in frame["trace_col_idx"])
+        open_trace = cache.open_trace  # one bound method shared by all rows
         return cls(
             benchmarks=benchmarks,
             modes=modes,
             scalars=_scalar_columns(rows, completed),
             trace_columns=trace_columns,
-            trace_loaders=loaders,
+            trace_loaders=[partial(open_trace, key, mmap) for key in kept],
             keys=kept,
-            specs=kept_specs if specs is not None else None,
+            specs=specs,
         )
 
     @classmethod
-    def _from_chunks(cls, cache: ResultCache, mmap: bool) -> "SuiteFrame":
-        """Whole-directory open through the per-shard columnar chunks.
-
-        ``("cols", ...)`` chunks splice straight into the column lists
-        (C-speed extends, one cheap loader closure per row); ``("rows",
-        ...)`` chunks -- shards still holding v1 or malformed entries --
-        extract row by row under the exact :func:`summary_row` rule the
-        walk path applies, so both paths keep identical rows.
-        """
-        benchmarks: List[str] = []
-        modes: List[str] = []
-        rows: Dict[str, List] = {
-            field: [] for field in FLOAT_FIELDS + COUNT_FIELDS
-        }
-        completed: List[bool] = []
-        trace_columns: List[List[str]] = []
-        loaders: List[TraceLoader] = []
-        kept: List[str] = []
-        for kind, chunk in cache.frame_chunks():
-            if kind == "cols":
-                chunk_keys = chunk["keys"]
-                kept.extend(chunk_keys)
-                benchmarks.extend(chunk["benchmark"])
-                modes.extend(chunk["mode"])
-                completed.extend(chunk["completed"])
-                for field in FLOAT_FIELDS + COUNT_FIELDS:
-                    rows[field].extend(chunk[field])
-                tables = chunk["trace_columns"]
-                trace_columns.extend(
-                    tables[i] for i in chunk["trace_col_idx"]
-                )
-                loaders.extend(
-                    _v2_loader(cache, key, mmap) for key in chunk_keys
-                )
-                continue
-            for key, payload in chunk:
-                row = summary_row(payload)
-                if row is None:
-                    continue
-                floats, counts, benchmark, mode, done, columns = row
-                for field, value in zip(FLOAT_FIELDS, floats):
-                    rows[field].append(value)
-                for field, value in zip(COUNT_FIELDS, counts):
-                    rows[field].append(value)
-                benchmarks.append(benchmark)
-                modes.append(mode)
-                completed.append(done)
-                trace_columns.append(columns)
-                loaders.append(_cache_loader(cache, key, payload, mmap))
-                kept.append(key)
-        return cls(
-            benchmarks=benchmarks,
-            modes=modes,
-            scalars=_scalar_columns(rows, completed),
-            trace_columns=trace_columns,
-            trace_loaders=loaders,
-            keys=kept,
-        )
-
-    @classmethod
-    def open_dir(
-        cls, root: str, mmap: bool = True, use_index: bool = True
-    ) -> "SuiteFrame":
+    def open_dir(cls, root: str, mmap: bool = True) -> "SuiteFrame":
         """Frame over every entry of an on-disk cache directory."""
-        return cls.from_cache(
-            ResultCache(root=root, memory=False),
-            mmap=mmap,
-            use_index=use_index,
-        )
+        return cls.from_cache(ResultCache(root=root, memory=False), mmap=mmap)
 
     # ------------------------------------------------------------------
     # columnar access
@@ -546,26 +444,22 @@ def _scalar_columns(
     return scalars
 
 
-def _v2_loader(cache: ResultCache, key: str, mmap: bool) -> TraceLoader:
-    """Lazy memmap handle over one v2 entry's on-disk trace blob."""
-    return partial(cache.open_trace, key, mmap)
-
-
-def _cache_loader(
-    cache: ResultCache, key: str, payload: dict, mmap: bool
-) -> TraceLoader:
-    """Lazy trace handle for one cached entry (memmap for v2, decode for v1)."""
-    if payload.get("artifact") == ARTIFACT_FORMAT:
-        return _v2_loader(cache, key, mmap)
-    columns = payload["trace"]["columns"]
-    rows = payload["trace"]["rows"]
-
-    def load_v1() -> np.ndarray:
-        if not rows:
-            return np.empty((0, len(columns)), dtype=np.float64)
-        return rows_to_matrix(columns, rows)
-
-    return load_v1
+def _summary_rows(
+    cache: ResultCache, keys: Sequence[str]
+) -> Iterator[Tuple[str, tuple]]:
+    """``(key, summary_row)`` of each explicit key; a bad entry raises."""
+    for key in keys:
+        payload = cache.load_summary(key)
+        if payload is None:
+            raise SimulationError(
+                "cache entry %s is missing or unreadable" % key
+            )
+        row = summary_row(payload)
+        if row is None:
+            raise SimulationError(
+                "cache entry %s has a malformed summary" % key
+            )
+        yield key, row
 
 
 def summarize_dir(root: str, mmap: bool = True) -> str:

@@ -711,10 +711,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default, scales to ~100k+ entries), "
                              "1 = the flat <root>/ab/ layout")
     p_cmig.add_argument("--compress", default=None,
-                        choices=("deflate", "zstd", "none"),
-                        help="transcode trace blobs: deflate (stdlib), "
-                             "zstd (needs the zstandard package) or none "
-                             "(plain npz); default keeps each blob as-is")
+                        choices=("deflate", "none"),
+                        help="transcode trace blobs: deflate (stdlib zlib, "
+                             "~3x smaller) or none (plain npz); default "
+                             "keeps each blob as-is")
     p_cmig.set_defaults(func=_cmd_cache_migrate)
 
     p_rep = sub.add_parser(

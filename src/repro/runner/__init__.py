@@ -21,13 +21,11 @@ from repro.runner.cache import (
     MigrateStats,
     ResultCache,
     TRACE_BLOB_SUFFIX,
-    available_codecs,
     default_cache_dir,
     disk_usage,
     load_trace_blob,
     migrate,
     payload_bytes,
-    payload_to_result,
     prune,
     result_bytes,
     result_to_payload,
@@ -92,7 +90,6 @@ __all__ = [
     "DiskUsage",
     "MigrateStats",
     "TRACE_BLOB_SUFFIX",
-    "available_codecs",
     "build_simulator",
     "default_batch",
     "disk_usage",
@@ -127,7 +124,6 @@ __all__ = [
     "matrix_to_wire",
     "model_fingerprint",
     "payload_bytes",
-    "payload_to_result",
     "result_bytes",
     "result_to_payload",
     "spec_from_wire",

@@ -5,43 +5,43 @@ Entries live under ``<root>/<key[:2]>/`` (the *flat* layout, depth 1) or
 fan-out directories for ~100k+ run stores) where ``key`` is the
 :func:`repro.runner.spec.spec_key` of the experiment.  A store's write
 depth is recorded in a ``.layout.json`` marker; **reads always probe
-both depths**, so a depth-2 writer reads a legacy flat store
-transparently and vice versa, and ``repro-dtpm cache migrate`` can
-reshard a live store in place (copy-then-unlink per entry, re-runnable
-after an interruption).
+both depths**, because ``repro-dtpm cache migrate`` reshards a live
+store in place (copy-then-unlink per entry, re-runnable after an
+interruption) and readers must keep finding every key meanwhile.
 
-Two artifact layouts coexist:
+Every entry is a small ``<key>.json`` *summary* (scalars +
+``"artifact": 2`` + trace shape) next to a ``<key>.npz`` binary trace
+blob -- the summary is written last and is the commit point.  The blob
+stores the ``(rows, columns)`` float64 matrix uncompressed, so loading
+is a single binary read (or a memory map via ``mmap=True``) and the
+round trip is numerically exact by construction.  A ``<key>.json``
+without ``"artifact": 2`` (the trace-rows-inline files of cache format
+1, which no current key reaches because ``spec_key`` hashes the format)
+is a miss that bulk reads skip and :func:`prune` still evicts.
 
-* **v1** (legacy): one ``<key>.json`` holding the whole result including
-  every trace row as canonical JSON.  Still read transparently; no new
-  v1 entries are written.
-* **v2** (current): a small ``<key>.json`` *summary* (scalars +
-  ``"artifact": 2`` + trace shape) next to a ``<key>.npz`` binary trace
-  blob -- the summary is written last and is the commit point.  The blob
-  stores the ``(rows, columns)`` float64 matrix uncompressed, so loading
-  is a single binary read (or a memory map via ``mmap=True``) and the
-  round trip is numerically exact by construction.
+Trace blobs may be stored *compressed* (``compress="deflate"``, stdlib
+zlib, suffix ``.npz.z``).  Compression never changes a result: the blob
+decompresses to the exact npz bytes an uncompressed store would hold.
+Memory-mapped readers *rehydrate* a compressed blob on first touch --
+decompress to the uncompressed ``.npz`` beside the summary, drop the
+compressed file, then map -- so ``mmap=True`` keeps its lazy-pages
+property at the cost of one write per first touch.
 
-Trace blobs may optionally be stored *compressed* (``compress="deflate"``
-via stdlib zlib, suffix ``.npz.z``; ``compress="zstd"`` via the optional
-``zstandard`` package, suffix ``.npz.zst``).  Compression never changes
-a result: the blob decompresses to the exact npz bytes an uncompressed
-store would hold.  Memory-mapped readers *rehydrate* a compressed blob
-on first touch -- decompress to the uncompressed ``.npz`` beside the
-summary, drop the compressed file, then map -- so ``mmap=True`` keeps
-its lazy-pages property at the cost of one write per first touch.
+Bulk readers (:meth:`ResultCache.frame_chunks`, feeding
+``SuiteFrame.open_dir``) ride a per-shard *frame index*: one
+``<root>/.index/<shard>.frame.json`` per top-level shard holding the
+shard's well-formed summaries pre-extracted into columns, validated
+against the shard directories' mtimes -- a warm 100k-entry store opens
+with ~256 reads instead of ~100k.  ``.index/`` is derived data:
+deleting it costs one rescan per shard, and the ``<shard>.json`` pack
+files older versions wrote next to the frames are ignored and safe to
+delete.
 
-Bulk readers (:meth:`ResultCache.indexed_summaries`, feeding
-``SuiteFrame.open_dir``) ride a per-shard *pack index* under
-``<root>/.index/``: one JSON file per top-level shard holding every v2
-summary payload, validated against the shard directories' mtimes -- a
-warm 100k-entry store opens with ~256 reads instead of ~100k.
-
-The v1 JSON rendering remains the canonical *byte-identity* unit
-(:func:`result_bytes`): deterministic (sorted keys, repr-round-tripped
-floats), so two equal :class:`RunResult` objects serialise to
-byte-identical payloads -- which is also how the test-suite checks
-serial, parallel, distributed and cached execution agree.
+The canonical *byte-identity* unit is :func:`result_bytes`: the whole
+result, every trace row included, as deterministic JSON (sorted keys,
+repr-round-tripped floats), so two equal :class:`RunResult` objects
+serialise to byte-identical payloads -- which is how the test-suite
+checks serial, parallel, distributed and cached execution agree.
 
 A cache without a root directory is an in-process memo (used by the
 benchmark harness when ``REPRO_CACHE_DIR`` is unset); with a root it
@@ -61,17 +61,12 @@ import time
 import zipfile
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.run_result import RunResult, TraceRecorder, rows_to_matrix
-
-try:  # optional dependency: gated, never required
-    import zstandard as _zstandard  # type: ignore[import-not-found]
-except ImportError:  # pragma: no cover - exercised where zstd is absent
-    _zstandard = None
+from repro.sim.run_result import RunResult, TraceRecorder
 
 #: Environment variable pointing the default cache at a shared directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -79,33 +74,26 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Version tag of the on-disk artifact layout written by this code.
 ARTIFACT_FORMAT = 2
 
-#: Suffix of the binary trace blob sitting next to a v2 summary.
+#: Suffix of the binary trace blob sitting next to a summary.
 TRACE_BLOB_SUFFIX = ".npz"
+
+#: Suffix of a deflate-compressed trace blob (``compress="deflate"``).
+DEFLATE_BLOB_SUFFIX = ".npz.z"
+
+#: Every suffix a trace blob may carry, plain first (the probe order).
+BLOB_SUFFIXES: Tuple[str, ...] = (TRACE_BLOB_SUFFIX, DEFLATE_BLOB_SUFFIX)
+
+#: zlib level of compressed blobs (it fixes their on-disk bytes).
+DEFLATE_LEVEL = 6
 
 #: Name of the trace matrix inside the npz container.
 TRACE_MEMBER = "data"
 
-#: Blob codec -> on-disk suffix of the compressed trace blob.
-CODEC_SUFFIXES: Dict[str, str] = {
-    "deflate": ".npz.z",
-    "zstd": ".npz.zst",
-}
-
-#: Every suffix a trace blob may carry, longest (most specific) first.
-BLOB_SUFFIXES: Tuple[str, ...] = (
-    CODEC_SUFFIXES["zstd"],
-    CODEC_SUFFIXES["deflate"],
-    TRACE_BLOB_SUFFIX,
-)
-
 #: Name of the store-layout marker file under the cache root.
 LAYOUT_MARKER = ".layout.json"
 
-#: Directory (under the root) holding the per-shard pack index files.
-PACK_DIR = ".index"
-
-#: Version tag of the pack-index payload.
-PACK_FORMAT = 1
+#: Directory (under the root) holding the per-shard frame index files.
+INDEX_DIR = ".index"
 
 #: Version tag of the per-shard columnar frame file payload.
 FRAME_FORMAT = 1
@@ -126,16 +114,22 @@ SUMMARY_COUNT_FIELDS: Tuple[str, ...] = (
 )
 
 
-def summary_row(payload: dict) -> Optional[tuple]:
+def summary_row(payload: Any) -> Optional[tuple]:
     """One summary payload as frame-row fields, or None if malformed.
 
-    The single extraction rule shared by :class:`SuiteFrame`'s row loop
-    and the per-shard frame files, so both open paths keep or skip
-    exactly the same entries.  Returns ``(floats, counts, benchmark,
-    mode, completed, trace_columns)``.
+    The single extraction rule behind every frame row -- the per-shard
+    frame files and ``SuiteFrame.from_cache``'s explicit keys -- so both
+    open paths keep or skip exactly the same entries.  Anything but a
+    current-format summary (``"artifact": 2``) counts as malformed.
+    Returns ``(floats, counts, benchmark, mode, completed,
+    trace_columns)``.
     """
     try:
+        if payload["artifact"] != ARTIFACT_FORMAT:
+            return None
         columns = list(payload["trace"]["columns"])
+        if not all(isinstance(name, str) for name in columns):
+            return None
         return (
             [float(payload[f]) for f in SUMMARY_FLOAT_FIELDS],
             [int(payload[f]) for f in SUMMARY_COUNT_FIELDS],
@@ -144,7 +138,7 @@ def summary_row(payload: dict) -> Optional[tuple]:
             bool(payload["completed"]),
             columns,
         )
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         return None
 
 
@@ -169,32 +163,6 @@ def result_to_payload(result: RunResult) -> dict:
     }
 
 
-def payload_to_result(payload: dict) -> RunResult:
-    """Rebuild a RunResult from :func:`result_to_payload` output."""
-    columns = payload["trace"]["columns"]
-    rows = payload["trace"]["rows"]
-    if rows:
-        trace = TraceRecorder.from_array(
-            columns, rows_to_matrix(columns, rows)
-        )
-    else:
-        trace = TraceRecorder(columns)
-    return RunResult(
-        benchmark=payload["benchmark"],
-        mode=payload["mode"],
-        completed=payload["completed"],
-        execution_time_s=payload["execution_time_s"],
-        average_platform_power_w=payload["average_platform_power_w"],
-        energy_j=payload["energy_j"],
-        trace=trace,
-        interventions=payload["interventions"],
-        violations_predicted=payload["violations_predicted"],
-        cluster_migrations=payload["cluster_migrations"],
-        cores_offlined=payload["cores_offlined"],
-        notes=list(payload["notes"]),
-    )
-
-
 def payload_bytes(payload: dict) -> bytes:
     """Canonical byte rendering (the unit of byte-identity comparisons)."""
     return json.dumps(
@@ -208,10 +176,10 @@ def result_bytes(result: RunResult) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# v2 artifacts: summary JSON + binary trace blob
+# artifacts: summary JSON + binary trace blob
 # ---------------------------------------------------------------------------
 def result_to_summary(result: RunResult) -> dict:
-    """The v2 summary payload: everything except the trace rows."""
+    """The summary payload: everything except the trace rows."""
     return {
         "artifact": ARTIFACT_FORMAT,
         "benchmark": result.benchmark,
@@ -233,7 +201,7 @@ def result_to_summary(result: RunResult) -> dict:
 
 
 def summary_to_result(payload: dict, trace_data: np.ndarray) -> RunResult:
-    """Rebuild a RunResult from a v2 summary and its trace matrix."""
+    """Rebuild a RunResult from a summary and its trace matrix."""
     meta = payload["trace"]
     if trace_data.shape != (int(meta["length"]), len(meta["columns"])):
         raise SimulationError(
@@ -262,54 +230,6 @@ def trace_blob_bytes(result: RunResult) -> bytes:
     buf = io.BytesIO()
     np.savez(buf, **{TRACE_MEMBER: result.trace.array()})
     return buf.getvalue()
-
-
-# ---------------------------------------------------------------------------
-# optional blob compression (deflate via stdlib zlib; zstd when available)
-# ---------------------------------------------------------------------------
-def available_codecs() -> Tuple[str, ...]:
-    """Blob codecs this interpreter can actually use."""
-    codecs = ["deflate"]
-    if _zstandard is not None:
-        codecs.append("zstd")
-    return tuple(codecs)
-
-
-def _check_codec(codec: str) -> None:
-    if codec not in CODEC_SUFFIXES:
-        raise ConfigurationError(
-            "unknown blob codec %r (choose from %s)"
-            % (codec, ", ".join(sorted(CODEC_SUFFIXES)))
-        )
-    if codec == "zstd" and _zstandard is None:
-        raise ConfigurationError(
-            "blob codec 'zstd' needs the optional zstandard package "
-            "(not installed); use 'deflate' or install zstandard"
-        )
-
-
-def compress_blob(data: bytes, codec: str) -> bytes:
-    """Compress raw npz blob bytes with one of :data:`CODEC_SUFFIXES`."""
-    _check_codec(codec)
-    if codec == "deflate":
-        return zlib.compress(data, 6)
-    return _zstandard.ZstdCompressor().compress(data)
-
-
-def decompress_blob(data: bytes, codec: str) -> bytes:
-    """Invert :func:`compress_blob`."""
-    _check_codec(codec)
-    if codec == "deflate":
-        return zlib.decompress(data)
-    return _zstandard.ZstdDecompressor().decompress(data)
-
-
-def _blob_codec(path: str) -> Optional[str]:
-    """The codec a blob path's suffix implies (None = uncompressed)."""
-    for codec, suffix in CODEC_SUFFIXES.items():
-        if path.endswith(suffix):
-            return codec
-    return None
 
 
 def _blob_key(name: str) -> Optional[str]:
@@ -359,17 +279,15 @@ def _mmap_npz_member(path: str, name: str) -> np.ndarray:
 
 
 def load_trace_blob(path: str, mmap: bool = False) -> np.ndarray:
-    """Load (or memory-map) the trace matrix of a v2 blob file.
+    """Load (or memory-map) the trace matrix of a blob file.
 
-    Compressed blobs (``.npz.z`` / ``.npz.zst``) decompress in memory;
-    memory-mapping them goes through
-    :meth:`ResultCache.open_trace`, which rehydrates the uncompressed
-    file first so the map has real bytes to point at.
+    Compressed blobs (``.npz.z``) decompress in memory; memory-mapping
+    them goes through :meth:`ResultCache.open_trace`, which rehydrates
+    the uncompressed file first so the map has real bytes to point at.
     """
-    codec = _blob_codec(path)
-    if codec is not None:
+    if path.endswith(DEFLATE_BLOB_SUFFIX):
         with open(path, "rb") as fh:
-            raw = decompress_blob(fh.read(), codec)
+            raw = zlib.decompress(fh.read())
         with np.load(io.BytesIO(raw)) as npz:
             return npz[TRACE_MEMBER]
     if mmap:
@@ -420,6 +338,14 @@ def _entry_dir(root: str, key: str, depth: int) -> str:
     return os.path.join(root, key[:2])
 
 
+def _check_codec(compress: Optional[str]) -> None:
+    if compress not in (None, "deflate"):
+        raise ConfigurationError(
+            "unknown blob codec %r (the only codec is 'deflate')"
+            % (compress,)
+        )
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/store counters of one ResultCache instance."""
@@ -432,7 +358,7 @@ class CacheStats:
 class ResultCache:
     """Content-addressed RunResult store (in-memory + optional disk).
 
-    ``mmap=True`` memory-maps v2 trace blobs on read instead of loading
+    ``mmap=True`` memory-maps trace blobs on read instead of loading
     them eagerly -- suite-scale consumers that only touch a column or two
     of each trace then never pull whole blobs into memory.  Mapped traces
     are read-only views; appending to them copies first.
@@ -443,10 +369,9 @@ class ResultCache:
     declares.  Reads always probe both depths, so mixed and mid-migration
     stores stay fully readable.
 
-    ``compress`` writes new trace blobs through a codec (``"deflate"``
-    via stdlib zlib or ``"zstd"`` when the zstandard package is
-    installed); reads handle any mix of compressed and plain blobs
-    regardless of this setting.
+    ``compress="deflate"`` writes new trace blobs through stdlib zlib;
+    reads handle any mix of compressed and plain blobs regardless of
+    this setting.
     """
 
     def __init__(
@@ -473,8 +398,7 @@ class ResultCache:
                 "fanout must be 1 (flat) or 2 (sharded), got %r" % (fanout,)
             )
         self.depth = depth
-        if compress is not None:
-            _check_codec(compress)
+        _check_codec(compress)
         self.compress = compress
         self.mmap = mmap
         self._lock = threading.Lock()
@@ -503,11 +427,7 @@ class ResultCache:
     def _blob_path(self, key: str) -> str:
         """The blob path (write depth + configured codec suffix)."""
         assert self.root is not None
-        suffix = (
-            CODEC_SUFFIXES[self.compress]
-            if self.compress is not None
-            else TRACE_BLOB_SUFFIX
-        )
+        suffix = DEFLATE_BLOB_SUFFIX if self.compress else TRACE_BLOB_SUFFIX
         return os.path.join(
             _entry_dir(self.root, key, self.depth), key + suffix
         )
@@ -535,9 +455,7 @@ class ResultCache:
         if self.root is None:
             return None
         for base in self._probe_dirs(key):
-            for suffix in (TRACE_BLOB_SUFFIX,) + tuple(
-                CODEC_SUFFIXES.values()
-            ):
+            for suffix in BLOB_SUFFIXES:
                 path = os.path.join(base, key + suffix)
                 if os.path.exists(path):
                     return path
@@ -551,16 +469,26 @@ class ResultCache:
         file is dropped, and the fresh file is mapped -- decompression
         on first touch, every later read maps directly.  Non-mapped
         reads decompress in memory and leave the store as-is.
+
+        A blob can vanish between the probe and the open: another mapped
+        reader rehydrated it, or a migration moved it.  What replaced it
+        holds the same bytes, so the probe runs once more.
         """
-        path = self._find_blob(key)
+        try:
+            return self._read_blob(key, self._find_blob(key), mmap)
+        except FileNotFoundError:
+            return self._read_blob(key, self._find_blob(key), mmap)
+
+    def _read_blob(
+        self, key: str, path: Optional[str], mmap: bool
+    ) -> np.ndarray:
         if path is None:
             raise SimulationError("no trace blob for cache entry %s" % key)
-        codec = _blob_codec(path)
-        if codec is None or not mmap:
+        if not (mmap and path.endswith(DEFLATE_BLOB_SUFFIX)):
             return load_trace_blob(path, mmap=mmap)
         with open(path, "rb") as fh:
-            raw = decompress_blob(fh.read(), codec)
-        plain = path[: -len(CODEC_SUFFIXES[codec])] + TRACE_BLOB_SUFFIX
+            raw = zlib.decompress(fh.read())
+        plain = path[: -len(DEFLATE_BLOB_SUFFIX)] + TRACE_BLOB_SUFFIX
         self._atomic_write(plain, raw)
         try:
             os.unlink(path)
@@ -574,20 +502,15 @@ class ResultCache:
             return None
         try:
             with open(path, "rb") as fh:
-                blob = fh.read()
-        except OSError:
-            return None
-        try:
-            payload = json.loads(blob.decode("utf-8"))
-            if payload.get("artifact") == ARTIFACT_FORMAT:
-                data = self._read_trace(key, mmap=self.mmap)
-                result = summary_to_result(payload, data)
-            else:
-                # v1 entry: whole trace inline as JSON rows
-                result = payload_to_result(payload)
-        except (OSError, ValueError, KeyError, SimulationError,
+                payload = json.loads(fh.read().decode("utf-8"))
+            if payload["artifact"] != ARTIFACT_FORMAT:
+                return None
+            data = self._read_trace(key, mmap=self.mmap)
+            result = summary_to_result(payload, data)
+        except (OSError, ValueError, KeyError, TypeError, SimulationError,
                 zipfile.BadZipFile):
-            # corrupt/stale entry: treat as a miss, let the writer replace it
+            # corrupt/stale/format-1 entry: treat as a miss, let the
+            # writer replace it
             return None
         self._touch(path)
         return result
@@ -662,7 +585,7 @@ class ResultCache:
                 pass
 
     def put(self, key: str, result: RunResult) -> None:
-        """Store a result under its content key (v2 artifact layout)."""
+        """Store a result under its content key (summary + trace blob)."""
         with self._lock:
             if self._memory is not None:
                 self._memory[key] = result
@@ -674,7 +597,7 @@ class ResultCache:
             # commit point, so readers never see a summary without a blob
             blob = trace_blob_bytes(result)
             if self.compress is not None:
-                blob = compress_blob(blob, self.compress)
+                blob = zlib.compress(blob, DEFLATE_LEVEL)
             self._atomic_write(self._blob_path(key), blob)
             self._atomic_write(path, payload_bytes(result_to_summary(result)))
             # a re-put under a different codec leaves the old variant
@@ -718,13 +641,11 @@ class ResultCache:
     def load_summary(self, key: str) -> Optional[dict]:
         """One entry's summary payload, without touching its trace blob.
 
-        For v2 entries this is the small summary JSON (scalars + trace
-        shape); v1 entries return their whole legacy payload (which
-        inlines the trace rows -- nothing smaller exists on disk).
-        Returns ``None`` on a miss or a corrupt entry.  Deliberately does
-        **not** bump the LRU stamp: analytics sweeps over a suite
-        directory are bulk reads and must not reorder the eviction queue
-        wholesale.
+        Returns the parsed ``<key>.json`` as-is (:func:`summary_row`
+        tells a well-formed summary apart), or ``None`` on a miss or an
+        unparseable file.  Deliberately does **not** bump the LRU stamp:
+        analytics sweeps over a suite directory are bulk reads and must
+        not reorder the eviction queue wholesale.
         """
         path = self._find_summary(key)
         if path is None:
@@ -742,80 +663,38 @@ class ResultCache:
             if payload is not None:
                 yield key, payload
 
-    def indexed_summaries(self) -> List[Tuple[str, dict]]:
-        """Every ``(key, v-any summary)`` via the per-shard pack index.
+    def frame_chunks(self) -> List[Dict[str, Any]]:
+        """Per-shard columnar frames feeding ``SuiteFrame.open_dir``.
 
-        The bulk twin of :meth:`iter_summaries`: per top-level shard, a
-        pack file under ``<root>/.index/`` holds every v2 summary
-        payload and is validated against the shard directories' mtimes
-        (entry writes and evictions replace/unlink files, which bumps
-        the directory mtime; LRU ``utime`` stamps touch only files, so
-        reads never invalidate packs).  Stale or missing packs are
-        rebuilt from the shard and persisted best-effort, so the first
-        open after a write pays one shard scan and every later open is a
-        single JSON read.  v1 entries are listed in the pack but read
-        directly (their payloads inline whole traces -- packing them
-        would bloat the index).  Pairs come back sorted by key: the
-        exact order :meth:`keys` walks.
+        One frame (see :func:`summary_frame`) per top-level shard, read
+        from ``<root>/.index/<shard>.frame.json`` while its stamp still
+        matches the shard directories' mtimes -- entry writes and
+        evictions replace or unlink files, which bumps them; LRU
+        ``utime`` stamps touch only files, so reads never invalidate a
+        frame.  A missing, stale or damaged frame is rebuilt from the
+        shard and persisted best-effort, so the first open after a write
+        pays one shard scan and every later open is a single JSON read
+        per shard with no per-entry work at all.  Frames come back in
+        sorted shard order with keys sorted inside each, which is
+        exactly the order of :meth:`keys` (every key is prefixed by its
+        shard) minus the malformed entries a frame leaves out.
         """
         if self.root is None or not os.path.isdir(self.root):
             return []
-        out: List[Tuple[str, dict]] = []
-        for shard in sorted(os.listdir(self.root)):
-            shard_dir = os.path.join(self.root, shard)
-            if _skip_dir(shard) or not os.path.isdir(shard_dir):
-                continue
-            pack = _load_shard_pack(self.root, shard)
-            if pack is None:
-                pack, frame = _build_shard_index(self.root, shard)
-                _persist_shard_index(self.root, shard, pack, frame)
-            out.extend((key, payload) for key, payload in pack["entries"])
-            for key in pack["unpacked"]:
-                payload = self.load_summary(key)
-                if payload is not None:
-                    out.append((key, payload))
-        out.sort(key=lambda pair: pair[0])
-        return out
-
-    def frame_chunks(self) -> List[Tuple[str, Any]]:
-        """Per-shard chunks feeding ``SuiteFrame.open_dir``'s fast path.
-
-        Returns ``("cols", frame)`` chunks -- the persisted columnar
-        frame of a fully-v2 shard (see :func:`_build_shard_frame`), so a
-        warm open never touches per-entry payloads at all -- and
-        ``("rows", pairs)`` chunks for shards that still need row-wise
-        extraction (v1 or malformed entries).  Chunks come back in
-        sorted shard order with keys sorted inside each chunk, which is
-        exactly the global order of :meth:`keys` because every key is
-        prefixed by its shard.
-        """
-        if self.root is None or not os.path.isdir(self.root):
-            return []
-        chunks: List[Tuple[str, Any]] = []
+        frames: List[Dict[str, Any]] = []
         for shard in sorted(os.listdir(self.root)):
             shard_dir = os.path.join(self.root, shard)
             if _skip_dir(shard) or not os.path.isdir(shard_dir):
                 continue
             frame = _load_shard_frame(self.root, shard)
             if frame is None:
-                pack = _load_shard_pack(self.root, shard)
-                if pack is None:
-                    pack, frame = _build_shard_index(self.root, shard)
-                    _persist_shard_index(self.root, shard, pack, frame)
-            if frame is not None:
-                chunks.append(("cols", frame))
-                continue
-            pairs = [(key, payload) for key, payload in pack["entries"]]
-            for key in pack["unpacked"]:
-                payload = self.load_summary(key)
-                if payload is not None:
-                    pairs.append((key, payload))
-            pairs.sort(key=lambda pair: pair[0])
-            chunks.append(("rows", pairs))
-        return chunks
+                frame = _build_shard_frame(self.root, shard)
+                _persist_shard_frame(self.root, shard, frame)
+            frames.append(frame)
+        return frames
 
     def trace_path(self, key: str) -> str:
-        """Path of the *uncompressed* v2 trace blob belonging to ``key``.
+        """Path of the *uncompressed* trace blob belonging to ``key``.
 
         Consumers stream these bytes as npz directly (e.g. the service's
         trace endpoint), so a compressed-only entry reports the path its
@@ -825,17 +704,17 @@ class ResultCache:
         if self.root is None:
             raise SimulationError("cache has no root directory")
         found = self._find_blob(key)
-        if found is not None and _blob_codec(found) is None:
-            return found
-        base = os.path.dirname(found) if found is not None else None
-        if base is not None:
-            return os.path.join(base, key + TRACE_BLOB_SUFFIX)
-        return os.path.join(
-            _entry_dir(self.root, key, self.depth), key + TRACE_BLOB_SUFFIX
-        )
+        if found is None:
+            return os.path.join(
+                _entry_dir(self.root, key, self.depth),
+                key + TRACE_BLOB_SUFFIX,
+            )
+        if found.endswith(DEFLATE_BLOB_SUFFIX):
+            return found[: -len(DEFLATE_BLOB_SUFFIX)] + TRACE_BLOB_SUFFIX
+        return found
 
     def open_trace(self, key: str, mmap: Optional[bool] = None) -> np.ndarray:
-        """The trace matrix of one v2 entry (a memory map by default).
+        """The trace matrix of one entry (a memory map by default).
 
         ``mmap=None`` follows the cache's construction flag; analytics
         callers pass ``mmap=True`` so a whole suite directory opens as
@@ -864,7 +743,7 @@ class ResultCache:
 
 
 # ---------------------------------------------------------------------------
-# disk store walking (shared by inspection, pruning, packing, migration)
+# disk store walking (shared by inspection, pruning, indexing, migration)
 # ---------------------------------------------------------------------------
 def _skip_dir(name: str) -> bool:
     """Top-level directories that never hold result entries."""
@@ -913,7 +792,7 @@ def _iter_shard_entries(
     for key, json_path in found:
         base = os.path.dirname(json_path)
         blob = None
-        for suffix in BLOB_SUFFIXES[::-1]:  # plain .npz probes first
+        for suffix in BLOB_SUFFIXES:
             candidate = os.path.join(base, key + suffix)
             if os.path.exists(candidate):
                 blob = candidate
@@ -946,18 +825,14 @@ def _iter_orphan_blobs(root: str, known: set) -> Iterator[str]:
 
 
 # ---------------------------------------------------------------------------
-# per-shard pack index (the bulk read path of indexed_summaries)
+# per-shard frame index (the bulk read path of frame_chunks)
 # ---------------------------------------------------------------------------
-def _pack_path(root: str, shard: str) -> str:
-    return os.path.join(root, PACK_DIR, shard + ".json")
-
-
 def _frame_path(root: str, shard: str) -> str:
-    return os.path.join(root, PACK_DIR, shard + ".frame.json")
+    return os.path.join(root, INDEX_DIR, shard + ".frame.json")
 
 
 def _shard_stamp(root: str, shard: str) -> Dict[str, int]:
-    """mtime_ns of every entry directory of one shard (the pack's validity).
+    """mtime_ns of every entry directory of one shard (the frame's validity).
 
     File writes and unlinks inside a directory bump its mtime; ``utime``
     LRU stamps on files do not.  Creating a depth-2 subdirectory bumps
@@ -984,46 +859,7 @@ def _shard_stamp(root: str, shard: str) -> Dict[str, int]:
     return stamp
 
 
-def _build_shard_index(root: str, shard: str) -> Tuple[dict, Optional[dict]]:
-    """Scan one shard into (pack, frame-or-None) payloads.
-
-    The stamp is recorded *before* the scan, so a write racing the scan
-    leaves a stamp mismatch behind and the next reader rebuilds.  The
-    frame is the columnar twin of the pack -- pre-extracted
-    :func:`summary_row` columns -- and exists only when *every* entry of
-    the shard is a cleanly extractable v2 summary; shards holding v1 or
-    malformed entries fall back to row-wise reads.
-    """
-    stamp = _shard_stamp(root, shard)
-    entries: List[Tuple[str, dict]] = []
-    unpacked: List[str] = []
-    seen: set = set()
-    for key, json_path, _blob in _iter_shard_entries(root, shard):
-        if key in seen:
-            continue
-        seen.add(key)
-        try:
-            with open(json_path, "rb") as fh:
-                payload = json.loads(fh.read().decode("utf-8"))
-        except (OSError, ValueError):
-            continue  # unreadable debris: the directory walk skips it too
-        if (
-            isinstance(payload, dict)
-            and payload.get("artifact") == ARTIFACT_FORMAT
-        ):
-            entries.append((key, payload))
-        else:
-            unpacked.append(key)
-    pack = {
-        "pack": PACK_FORMAT,
-        "stamp": stamp,
-        "entries": entries,
-        "unpacked": unpacked,
-    }
-    return pack, _build_shard_frame(stamp, entries, unpacked)
-
-
-#: Column names a frame file carries one flat list for, per shard.
+#: Column names a frame carries one flat list for.
 _FRAME_LISTS: Tuple[str, ...] = (
     ("keys", "benchmark", "mode", "completed", "trace_col_idx")
     + SUMMARY_FLOAT_FIELDS
@@ -1031,29 +867,18 @@ _FRAME_LISTS: Tuple[str, ...] = (
 )
 
 
-def _build_shard_frame(
-    stamp: Dict[str, int],
-    entries: List[Tuple[str, dict]],
-    unpacked: List[str],
-) -> Optional[dict]:
-    """Columnar frame payload for one fully-v2 shard, else None.
+def summary_frame(rows: Iterable[Tuple[str, tuple]]) -> Dict[str, Any]:
+    """Columnar frame of ``(key, summary_row)`` pairs, in the given order.
 
-    Trace column lists repeat across a suite, so rows store an index
-    into a small table of distinct lists instead of the lists
-    themselves.
+    One flat list per :data:`_FRAME_LISTS` name.  Trace column lists
+    repeat across a suite, so rows store an index (``trace_col_idx``)
+    into a small table of distinct lists (``trace_columns``) instead of
+    the lists themselves.
     """
-    if unpacked:
-        return None
     frame: Dict[str, Any] = {name: [] for name in _FRAME_LISTS}
-    frame["frame"] = FRAME_FORMAT
-    frame["stamp"] = stamp
     frame["trace_columns"] = []
     col_tables: Dict[Tuple[str, ...], int] = {}
-    for key, payload in entries:
-        row = summary_row(payload)
-        if row is None:
-            return None
-        floats, counts, benchmark, mode, completed, columns = row
+    for key, (floats, counts, benchmark, mode, completed, columns) in rows:
         signature = tuple(columns)
         idx = col_tables.get(signature)
         if idx is None:
@@ -1072,22 +897,38 @@ def _build_shard_frame(
     return frame
 
 
-def _load_shard_pack(root: str, shard: str) -> Optional[dict]:
-    """A still-valid persisted pack for one shard, or None."""
-    try:
-        with open(_pack_path(root, shard), "rb") as fh:
-            pack = json.loads(fh.read().decode("utf-8"))
-    except (OSError, ValueError):
-        return None
-    if not isinstance(pack, dict) or pack.get("pack") != PACK_FORMAT:
-        return None
-    if pack.get("stamp") != _shard_stamp(root, shard):
-        return None  # something was written/evicted since: rebuild
-    entries = pack.get("entries")
-    unpacked = pack.get("unpacked")
-    if not isinstance(entries, list) or not isinstance(unpacked, list):
-        return None
-    return pack
+def _shard_rows(root: str, shard: str) -> Iterator[Tuple[str, tuple]]:
+    """``(key, summary_row)`` of one shard's well-formed entries, key order.
+
+    Unreadable, malformed and format-1 summaries are left out -- exactly
+    the entries ``SuiteFrame.from_cache`` rejects when given their keys.
+    A key present at both depths (an interrupted migration) yields once.
+    """
+    seen: set = set()
+    for key, json_path, _blob in _iter_shard_entries(root, shard):
+        if key in seen:
+            continue
+        seen.add(key)
+        try:
+            with open(json_path, "rb") as fh:
+                row = summary_row(json.loads(fh.read().decode("utf-8")))
+        except (OSError, ValueError):
+            continue  # unreadable debris: the directory walk skips it too
+        if row is not None:
+            yield key, row
+
+
+def _build_shard_frame(root: str, shard: str) -> Dict[str, Any]:
+    """Scan one shard into its frame file payload.
+
+    The stamp is recorded *before* the scan, so a write racing the scan
+    leaves a stamp mismatch behind and the next reader rebuilds.
+    """
+    stamp = _shard_stamp(root, shard)
+    frame = summary_frame(_shard_rows(root, shard))
+    frame["frame"] = FRAME_FORMAT
+    frame["stamp"] = stamp
+    return frame
 
 
 def _load_shard_frame(root: str, shard: str) -> Optional[dict]:
@@ -1119,26 +960,14 @@ def _load_shard_frame(root: str, shard: str) -> Optional[dict]:
     return frame
 
 
-def _persist_shard_index(
-    root: str, shard: str, pack: dict, frame: Optional[dict]
-) -> None:
-    """Write one shard's index files (best effort -- read-only stores
-    just rescan).  A shard that no longer qualifies for a columnar
-    frame drops its stale frame file."""
+def _persist_shard_frame(root: str, shard: str, frame: dict) -> None:
+    """Write one shard's frame file (best effort -- a read-only store
+    just rescans the shard on every open)."""
     try:
-        os.makedirs(os.path.join(root, PACK_DIR), exist_ok=True)
+        os.makedirs(os.path.join(root, INDEX_DIR), exist_ok=True)
         ResultCache._atomic_write(
-            _pack_path(root, shard), payload_bytes(pack)
+            _frame_path(root, shard), payload_bytes(frame)
         )
-        if frame is not None:
-            ResultCache._atomic_write(
-                _frame_path(root, shard), payload_bytes(frame)
-            )
-        else:
-            try:
-                os.unlink(_frame_path(root, shard))
-            except FileNotFoundError:
-                pass
     except OSError:
         pass
 
@@ -1152,7 +981,6 @@ class DiskUsage:
 
     root: str
     entries: int = 0
-    v2_entries: int = 0
     result_bytes: int = 0
     blob_bytes: int = 0
     compressed_blobs: int = 0
@@ -1162,21 +990,14 @@ class DiskUsage:
     notes: List[str] = field(default_factory=list)
 
     @property
-    def v1_entries(self) -> int:
-        return self.entries - self.v2_entries
-
-    @property
     def total_bytes(self) -> int:
         return self.result_bytes + self.blob_bytes + self.model_bytes
 
     def summary(self) -> str:
         text = (
-            "%d results (%d v1 json, %d v2 json+npz), %d models, "
-            "%.1f MiB total (%.1f MiB trace blobs)"
+            "%d results, %d models, %.1f MiB total (%.1f MiB trace blobs)"
             % (
                 self.entries,
-                self.v1_entries,
-                self.v2_entries,
                 self.model_entries,
                 self.total_bytes / 2**20,
                 self.blob_bytes / 2**20,
@@ -1188,7 +1009,11 @@ class DiskUsage:
 
 
 def disk_usage(root: str) -> DiskUsage:
-    """Inspect an on-disk cache directory (results, blobs, models)."""
+    """Inspect an on-disk cache directory (results, blobs, models).
+
+    Entries a concurrent prune, migration or codec re-put removes after
+    the directory listing are skipped, not an error.
+    """
     root = os.path.abspath(os.path.expanduser(root))
     usage = DiskUsage(root=root)
     if not os.path.isdir(root):
@@ -1196,18 +1021,24 @@ def disk_usage(root: str) -> DiskUsage:
         return usage
     json_names = set()
     for key, json_path, blob_path in _iter_entries(root):
-        usage.entries += 1
-        usage.result_bytes += os.path.getsize(json_path)
         json_names.add(key)
-        if blob_path is not None:
-            usage.v2_entries += 1
-            usage.blob_bytes += os.path.getsize(blob_path)
-            if _blob_codec(blob_path) is not None:
-                usage.compressed_blobs += 1
+        try:
+            size = os.path.getsize(json_path)
+            blob_size = 0 if blob_path is None else os.path.getsize(blob_path)
+        except FileNotFoundError:
+            continue  # removed since the listing
+        usage.entries += 1
+        usage.result_bytes += size
+        usage.blob_bytes += blob_size
+        if blob_path is not None and blob_path.endswith(DEFLATE_BLOB_SUFFIX):
+            usage.compressed_blobs += 1
     # blobs whose summary never landed (interrupted writers)
     for path in _iter_orphan_blobs(root, json_names):
+        try:
+            usage.blob_bytes += os.path.getsize(path)
+        except FileNotFoundError:
+            continue  # collected by a concurrent prune
         usage.orphan_blobs += 1
-        usage.blob_bytes += os.path.getsize(path)
     models_dir = os.path.join(root, "models")
     if os.path.isdir(models_dir):
         for name in sorted(os.listdir(models_dir)):
@@ -1249,7 +1080,8 @@ def prune(root: str, max_bytes: Optional[int]) -> Tuple[int, int]:
     treats as a clean miss, and the half-removed entry stays listed for
     the next prune.  A reader holding an open handle or memory map into
     a blob keeps its data (POSIX unlink semantics); files a concurrent
-    pruner removed first are simply skipped, never an error.
+    pruner, migration or re-put removed first are simply skipped, never
+    an error.
     """
     root = os.path.abspath(os.path.expanduser(root))
     if not os.path.isdir(root):
@@ -1259,12 +1091,15 @@ def prune(root: str, max_bytes: Optional[int]) -> Tuple[int, int]:
     entries = []
     known = set()
     for key, json_path, blob_path in _iter_entries(root):
-        size = os.path.getsize(json_path)
-        mtime = os.path.getmtime(json_path)
-        if blob_path is not None:
-            size += os.path.getsize(blob_path)
-        entries.append((mtime, size, json_path, blob_path))
         known.add(key)
+        try:
+            size = os.path.getsize(json_path)
+            mtime = os.path.getmtime(json_path)
+            if blob_path is not None:
+                size += os.path.getsize(blob_path)
+        except FileNotFoundError:
+            continue  # removed since the listing
+        entries.append((mtime, size, json_path, blob_path))
     # interrupted writers leave blobs without a summary: collect the stale
     # ones (recent ones may still get their summary -- see put())
     now = time.time()
@@ -1347,8 +1182,8 @@ def migrate(
     interruption finds entries already at the target and only finishes
     the pending unlinks.
 
-    ``compress`` transcodes trace blobs on the way: ``"deflate"`` /
-    ``"zstd"`` to that codec, ``"none"`` to plain npz, ``None`` (the
+    ``compress`` transcodes trace blobs on the way: ``"deflate"`` to
+    zlib-compressed blobs, ``"none"`` to plain npz, ``None`` (the
     default) keeps each blob's current encoding.  The layout marker is
     written last, so new writers only adopt the target depth once the
     data is actually there.
@@ -1358,10 +1193,9 @@ def migrate(
         raise ConfigurationError(
             "fanout must be 1 (flat) or 2 (sharded), got %r" % (fanout,)
         )
-    target_codec: Optional[str] = None
-    if compress is not None and compress != "none":
+    if compress != "none":
         _check_codec(compress)
-        target_codec = compress
+    deflate = compress == "deflate"
     stats = MigrateStats()
     if not os.path.isdir(root):
         return stats
@@ -1374,17 +1208,14 @@ def migrate(
         stats.examined += 1
         target_dir = _entry_dir(root, key, fanout)
         target_json = os.path.join(target_dir, key + ".json")
-        blob_suffix = (
-            CODEC_SUFFIXES[target_codec]
-            if target_codec is not None
-            else TRACE_BLOB_SUFFIX
-        )
-        # source blob: prefer one already in the target codec
+        # source blob: prefer one already in the target encoding
         source_blob: Optional[str] = None
         for _json, blob in copies[key]:
             if blob is None:
                 continue
-            if source_blob is None or _blob_codec(blob) == target_codec:
+            if source_blob is None or (
+                blob.endswith(DEFLATE_BLOB_SUFFIX) == deflate
+            ):
                 source_blob = blob
         target_blob: Optional[str] = None
         if source_blob is not None:
@@ -1392,7 +1223,7 @@ def migrate(
                 # keep the source encoding; only the location moves
                 suffix = os.path.basename(source_blob)[len(key):]
             else:
-                suffix = blob_suffix
+                suffix = DEFLATE_BLOB_SUFFIX if deflate else TRACE_BLOB_SUFFIX
             target_blob = os.path.join(target_dir, key + suffix)
         moved = False
         # 1. blob into place (decode/re-encode when the codec changes)
@@ -1400,13 +1231,14 @@ def migrate(
             assert source_blob is not None
             with open(source_blob, "rb") as fh:
                 raw = fh.read()
-            source_codec = _blob_codec(source_blob)
-            wanted = _blob_codec(target_blob)
-            if source_codec != wanted:
-                if source_codec is not None:
-                    raw = decompress_blob(raw, source_codec)
-                if wanted is not None:
-                    raw = compress_blob(raw, wanted)
+            source_deflated = source_blob.endswith(DEFLATE_BLOB_SUFFIX)
+            target_deflated = target_blob.endswith(DEFLATE_BLOB_SUFFIX)
+            if source_deflated != target_deflated:
+                raw = (
+                    zlib.compress(raw, DEFLATE_LEVEL)
+                    if target_deflated
+                    else zlib.decompress(raw)
+                )
                 stats.recompressed += 1
             os.makedirs(target_dir, exist_ok=True)
             ResultCache._atomic_write(target_blob, raw)

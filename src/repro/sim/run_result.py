@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -26,30 +25,6 @@ def settle_start(times: np.ndarray, skip_s: float) -> int:
         return 0
     start = int(np.searchsorted(times, times[0] + skip_s))
     return min(start, max(0, times.size - 2))
-
-
-def rows_to_matrix(columns: List[str], rows: List[List[float]]) -> np.ndarray:
-    """Validate and coerce row-oriented trace data to a float64 matrix.
-
-    The one copy of the row-shape validation shared by the deprecated
-    :meth:`TraceRecorder.from_rows` shim and the v1 JSON cache read-back
-    (:func:`repro.runner.cache.payload_to_result`), so the two paths can
-    never drift.  Raises :class:`SimulationError` on ragged, non-numeric
-    or wrong-width input.
-    """
-    width = len(columns)
-    try:
-        data = np.asarray(rows, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise SimulationError(
-            "rows are ragged or non-numeric (need %d columns each)" % width
-        ) from None
-    if data.ndim != 2 or data.shape[1] != width:
-        raise SimulationError(
-            "row width %d does not match %d columns"
-            % (data.shape[-1] if data.ndim else 0, width)
-        )
-    return data
 
 
 class TraceRecorder:
@@ -96,32 +71,6 @@ class TraceRecorder:
         return self._data.shape[0]
 
     @classmethod
-    def from_rows(
-        cls, columns: List[str], rows: List[List[float]]
-    ) -> "TraceRecorder":
-        """Rebuild a recorder from serialised (columns, rows) data.
-
-        .. deprecated::
-            Compatibility shim for row-oriented callers; use
-            :meth:`from_array` with a ``(rows, columns)`` matrix instead
-            -- it adopts contiguous float64 storage without the
-            row-by-row conversion.
-        """
-        warnings.warn(
-            "TraceRecorder.from_rows is deprecated; use"
-            " TraceRecorder.from_array",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        recorder = cls(columns)
-        if not rows:
-            return recorder
-        data = rows_to_matrix(recorder._columns, rows)
-        recorder._data = data
-        recorder._size = data.shape[0]
-        return recorder
-
-    @classmethod
     def from_array(cls, columns: List[str], data: np.ndarray) -> "TraceRecorder":
         """Adopt a ``(rows, columns)`` array (binary cache artifacts).
 
@@ -140,23 +89,6 @@ class TraceRecorder:
             recorder._data = data
             recorder._size = data.shape[0]
         return recorder
-
-    def rows(self) -> List[List[float]]:
-        """All recorded rows as fresh Python lists.
-
-        .. deprecated::
-            Compatibility shim for row-oriented callers -- it
-            materialises the whole trace; use :meth:`array` (zero-copy
-            view, ``.tolist()`` it if lists are really needed) or
-            :meth:`column` instead.
-        """
-        warnings.warn(
-            "TraceRecorder.rows is deprecated; use TraceRecorder.array"
-            " (call .tolist() on it if row lists are needed)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._data[: self._size].tolist()
 
     def _grow(self) -> None:
         grown = np.empty(

@@ -1,4 +1,4 @@
-"""Sharded store layout, blob compression, pack index, in-place migration."""
+"""Sharded store layout, blob compression, frame index, in-place migration."""
 
 import json
 import os
@@ -18,7 +18,6 @@ from repro.runner import (
     store_depth,
     trace_blob_bytes,
 )
-from repro.runner.cache import _zstandard
 from repro.sim.engine import ThermalMode
 from repro.workloads.generator import synthesize
 
@@ -121,18 +120,40 @@ def test_mmap_read_rehydrates_compressed_blob(tmp_path, result):
     assert result_bytes(again.get(key)) == result_bytes(result)
 
 
-def test_zstd_gated_when_package_missing(tmp_path):
-    if _zstandard is not None:
-        pytest.skip("zstandard installed; the gate does not apply")
-    with pytest.raises(ConfigurationError):
-        ResultCache(root=str(tmp_path), compress="zstd")
-    with pytest.raises(ConfigurationError):
-        migrate(str(tmp_path), compress="zstd")
+def test_mapped_read_survives_a_concurrent_rehydration(
+    tmp_path, result, monkeypatch
+):
+    """A reader whose probe found the compressed blob just before another
+    mapped reader rehydrated it re-probes and maps the plain blob."""
+    key = "1f" * 32
+    root = str(tmp_path)
+    ResultCache(root=root, compress="deflate").put(key, result)
+    reader = ResultCache(root=root, memory=False, mmap=True)
+    stale = reader._find_blob(key)
+    assert stale.endswith(".npz.z")
+    ResultCache(root=root, memory=False, mmap=True).open_trace(key)
+    assert not os.path.exists(stale)  # the other reader rehydrated it
+
+    probe = reader._find_blob
+
+    def probe_stale_once():
+        answers = iter([stale])
+        monkeypatch.setattr(
+            reader, "_find_blob", lambda k: next(answers, None) or probe(k)
+        )
+
+    probe_stale_once()
+    assert np.array_equal(reader.open_trace(key), result.trace.array())
+    probe_stale_once()
+    assert result_bytes(reader.get(key)) == result_bytes(result)  # no miss
 
 
 def test_unknown_codec_rejected(tmp_path):
-    with pytest.raises(ConfigurationError):
-        ResultCache(root=str(tmp_path), compress="lz4")
+    for codec in ("lz4", "zstd"):
+        with pytest.raises(ConfigurationError):
+            ResultCache(root=str(tmp_path), compress=codec)
+        with pytest.raises(ConfigurationError):
+            migrate(str(tmp_path), compress=codec)
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +234,33 @@ def test_migrate_rejects_bad_fanout(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# pack index
+# frame index
 # ---------------------------------------------------------------------------
+def _frame_rows(cache):
+    """(key, benchmark, energy) rows of every frame, in frame order."""
+    return [
+        row
+        for frame in cache.frame_chunks()
+        for row in zip(frame["keys"], frame["benchmark"], frame["energy_j"])
+    ]
+
+
 def test_indexed_summaries_match_directory_walk(tmp_path, results):
     cache = ResultCache(root=str(tmp_path), fanout=2)
     keys = ["%02x" % (16 * i) * 32 for i in range(len(results))]
     for key, res in zip(keys, results):
         cache.put(key, res)
-    walked = list(cache.iter_summaries())
-    indexed = cache.indexed_summaries()
-    assert indexed == walked
-    assert (tmp_path / ".index").is_dir()
-    # warm path: packs answer without rescanning, same rows
-    assert cache.indexed_summaries() == walked
+    walked = [
+        (key, payload["benchmark"], payload["energy_j"])
+        for key, payload in cache.iter_summaries()
+    ]
+    assert _frame_rows(cache) == walked
+    # one frame file per shard, and nothing else, under .index/
+    assert sorted(os.listdir(tmp_path / ".index")) == sorted(
+        key[:2] + ".frame.json" for key in keys
+    )
+    # warm path: frames answer without rescanning, same rows
+    assert _frame_rows(cache) == walked
 
 
 def test_pack_index_invalidates_on_writes_and_prune(tmp_path, results):
@@ -234,11 +269,11 @@ def test_pack_index_invalidates_on_writes_and_prune(tmp_path, results):
     key_a = "11" * 32
     key_b = "11" + "ab" * 31  # same top-level shard, new depth-2 subdir
     cache.put(key_a, results[0])
-    assert len(cache.indexed_summaries()) == 1
+    assert len(_frame_rows(cache)) == 1
     cache.put(key_b, results[1])
-    assert {k for k, _ in cache.indexed_summaries()} == {key_a, key_b}
+    assert {row[0] for row in _frame_rows(cache)} == {key_a, key_b}
     prune(root, max_bytes=None)
-    assert cache.indexed_summaries() == []
+    assert _frame_rows(cache) == []
 
 
 def test_suiteframe_open_dir_same_with_and_without_index(tmp_path, results):
@@ -249,7 +284,7 @@ def test_suiteframe_open_dir_same_with_and_without_index(tmp_path, results):
     for key, res in zip(keys, results):
         cache.put(key, res)
     fast = SuiteFrame.open_dir(str(tmp_path))
-    slow = SuiteFrame.open_dir(str(tmp_path), use_index=False)
+    slow = SuiteFrame.from_cache(cache, keys=cache.keys())
     assert fast.keys == slow.keys == sorted(keys)
     for field in ("execution_time_s", "average_platform_power_w"):
         assert fast.column(field).tolist() == slow.column(field).tolist()
@@ -262,7 +297,6 @@ def test_disk_usage_counts_compressed_blobs(tmp_path, result):
     cache.put("21" * 32, result)
     usage = disk_usage(str(tmp_path))
     assert usage.entries == 1
-    assert usage.v2_entries == 1
     assert usage.compressed_blobs == 1
 
 

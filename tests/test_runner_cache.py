@@ -21,7 +21,6 @@ from repro.runner import (
     models_to_payload,
     payload_bytes,
     payload_to_models,
-    payload_to_result,
     prune,
     result_bytes,
     result_to_payload,
@@ -50,21 +49,20 @@ def result(workload):
 # payload round trip
 # ---------------------------------------------------------------------------
 def test_result_payload_round_trip_is_lossless(result):
-    clone = payload_to_result(
-        json.loads(result_bytes(result).decode("utf-8"))
+    """The canonical bytes keep every float exactly (repr round trip)."""
+    payload = json.loads(result_bytes(result).decode("utf-8"))
+    assert payload_bytes(payload) == result_bytes(result)
+    assert payload["benchmark"] == result.benchmark
+    assert payload["trace"]["columns"] == result.trace.columns
+    assert np.array_equal(
+        np.array(payload["trace"]["rows"]), result.trace.array()
     )
-    assert result_bytes(clone) == result_bytes(result)
-    assert clone.benchmark == result.benchmark
-    assert clone.trace.columns == result.trace.columns
-    assert clone.peak_temp_c() == result.peak_temp_c()
-    assert clone.times_s().tolist() == result.times_s().tolist()
 
 
 def test_payload_rejects_malformed_trace(result):
-    payload = result_to_payload(result)
-    payload["trace"]["rows"] = [[1.0, 2.0]]  # wrong width
+    summary = result_to_summary(result)
     with pytest.raises(SimulationError):
-        payload_to_result(payload)
+        summary_to_result(summary, np.zeros((1, 2)))  # wrong shape
 
 
 # ---------------------------------------------------------------------------
@@ -133,31 +131,28 @@ def test_put_writes_v2_summary_plus_blob(tmp_path, workload, result):
 
 
 def test_npz_json_round_trip_numeric_equality(result):
-    """The binary and the JSON codec agree bit-for-bit on every float."""
-    via_json = payload_to_result(
-        json.loads(result_bytes(result).decode("utf-8"))
-    )
+    """The summary + npz artifact decodes to the exact canonical bytes."""
     blob = trace_blob_bytes(result)
     import io
 
     with np.load(io.BytesIO(blob)) as npz:
         via_npz = summary_to_result(result_to_summary(result), npz["data"])
-    assert result_bytes(via_npz) == result_bytes(via_json) == result_bytes(result)
-    assert np.array_equal(via_npz.trace.array(), via_json.trace.array())
+    assert result_bytes(via_npz) == result_bytes(result)
+    assert np.array_equal(via_npz.trace.array(), result.trace.array())
 
 
-def test_v1_entries_read_transparently(tmp_path, workload, result):
-    """Entries written by the old JSON-rows code are still cache hits."""
+def test_format1_entry_is_a_miss_that_prune_evicts(tmp_path, workload, result):
+    """A trace-rows-inline file left by cache format 1 is never served."""
     cache = ResultCache(root=str(tmp_path), memory=False)
     key = spec_key(RunSpec(workload=workload, mode=ThermalMode.NO_FAN))
-    json_path, blob_path = _entry_paths(tmp_path, key)
+    json_path, _ = _entry_paths(tmp_path, key)
     os.makedirs(os.path.dirname(json_path), exist_ok=True)
     with open(json_path, "wb") as fh:
-        fh.write(payload_bytes(result_to_payload(result)))  # v1 layout
-    assert not os.path.exists(blob_path)
-    hit = cache.get(key)
-    assert hit is not None
-    assert result_bytes(hit) == result_bytes(result)
+        fh.write(payload_bytes(result_to_payload(result)))
+    assert cache.get(key) is None
+    assert disk_usage(str(tmp_path)).entries == 1
+    assert prune(str(tmp_path), max_bytes=None)[0] == 1
+    assert not os.path.exists(json_path)
 
 
 def test_mmap_read_back_is_identical(tmp_path, workload, result):
@@ -193,7 +188,7 @@ def test_disk_usage_and_prune(tmp_path, workload, result):
     for key in keys:
         cache.put(key, result)
     usage = disk_usage(str(tmp_path))
-    assert usage.entries == usage.v2_entries == 3
+    assert usage.entries == 3
     assert usage.blob_bytes > 0 and usage.result_bytes > 0
     # bound the store to roughly one entry: the oldest two are evicted
     per_entry = usage.total_bytes // 3
@@ -304,6 +299,47 @@ def test_prune_collects_stale_orphan_blobs_keeps_models(tmp_path):
     removed, freed = prune(str(tmp_path), max_bytes=10**9)
     assert removed == 1 and freed == len(b"orphan")
     assert (models_dir / "deadbeef.json").exists()
+
+
+def test_stats_and_prune_skip_entries_vanishing_mid_walk(
+    tmp_path, result, monkeypatch
+):
+    """An entry a concurrent prune/migrate/re-put removes after the
+    directory listing is skipped, not a FileNotFoundError."""
+    import repro.runner.cache as cache_mod
+
+    root = str(tmp_path)
+    entries = cache_mod._iter_entries
+    orphans = cache_mod._iter_orphan_blobs
+
+    def vanishing_entries(walk_root):
+        for key, json_path, blob_path in entries(walk_root):
+            os.unlink(blob_path)
+            os.unlink(json_path)
+            yield key, json_path, blob_path
+
+    def vanishing_orphans(walk_root, known):
+        for path in orphans(walk_root, known):
+            os.unlink(path)
+            yield path
+
+    monkeypatch.setattr(cache_mod, "_iter_entries", vanishing_entries)
+    monkeypatch.setattr(cache_mod, "_iter_orphan_blobs", vanishing_orphans)
+
+    def fill():
+        cache = ResultCache(root=root, memory=False)
+        for key in ("a1" * 32, "b2" * 32):
+            cache.put(key, result)
+        orphan = tmp_path / "c3" / ("c3" * 32 + ".npz")
+        orphan.parent.mkdir(exist_ok=True)
+        orphan.write_bytes(b"orphan")
+        os.utime(orphan, (0, 0))  # past the orphan grace window
+
+    fill()
+    usage = disk_usage(root)
+    assert usage.entries == 0 and usage.orphan_blobs == 0
+    fill()
+    assert prune(root, max_bytes=None) == (0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -205,20 +205,23 @@ def test_cache_root_expands_user_home(monkeypatch, tmp_path):
     assert cache.root == str(tmp_path / "suite-cache")
 
 
-def test_from_cache_reads_legacy_v1_entries(populated, tmp_path):
+def test_format1_entries_are_skipped_or_rejected(populated, tmp_path):
+    """A trace-rows-inline summary left by cache format 1 is no row."""
     _, _, results = populated
-    key = "ab" + "0" * 62
-    shard = tmp_path / key[:2]
-    shard.mkdir()
-    (shard / (key + ".json")).write_text(
+    cache = ResultCache(root=str(tmp_path), memory=False)
+    current = "ab" + "1" * 62
+    cache.put(current, results[0])
+    legacy = "ab" + "0" * 62
+    (tmp_path / legacy[:2] / (legacy + ".json")).write_text(
         json.dumps(result_to_payload(results[0]))
     )
     frame = SuiteFrame.open_dir(str(tmp_path))
-    assert frame.keys == [key]
-    assert frame.benchmark == [results[0].benchmark]
+    assert frame.keys == [current]
     np.testing.assert_array_equal(
         frame.trace(0), results[0].trace.array()
     )
+    with pytest.raises(SimulationError):
+        SuiteFrame.from_cache(cache, keys=[legacy])
 
 
 def test_from_cache_explicit_keys_raise_on_miss(populated):
