@@ -11,8 +11,9 @@ idle-cooldown semantics).  The floor is a >= 3x kernel-level win on a
 trajectory stays visible across PRs.
 
 The benchmark also re-asserts the fused path's parity contract (fused ==
-per-substep reference backend, byte-for-byte) on the exact states it
-times, so the perf number can never drift away from correctness.
+per-substep reference ``kernels.substep_loop``, byte-for-byte) on the
+exact states it times, so the perf number can never drift away from
+correctness.
 """
 
 import time
@@ -58,16 +59,15 @@ def _advance(plant, intervals, power_every=None):
 
 
 def test_fused_kernels_are_3x_faster_than_substep_loop(monkeypatch):
-    # parity on the timed configuration: fused == reference backend
+    # parity on the timed configuration: fused == per-substep reference
     # (fresh plants per leg so the meter-noise RNG streams line up)
-    monkeypatch.setenv(kernels.ENV_VAR, "numpy-substep")
-    reference = _advance(_plant()[0], 50)
-    monkeypatch.setenv(kernels.ENV_VAR, "numpy")
     fused = _advance(_plant()[0], 50)
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "advance_held_interval", kernels.substep_loop)
+        reference = _advance(_plant()[0], 50)
     assert np.array_equal(fused.temps_k, reference.temps_k)
     assert np.array_equal(fused.energy_j, reference.energy_j)
     assert np.array_equal(fused.fan_speed, reference.fan_speed)
-    monkeypatch.delenv(kernels.ENV_VAR)
 
     plant, _ = _plant()
     # warm both paths (discretisation caches, allocator) before timing

@@ -13,8 +13,8 @@ pinning test.  These rules close the loop:
   flagged too.
 * RPR032 -- a Python-level ``for`` statement over the batch axis inside
   a hot batched module defeats the vectorisation the pair exists for;
-  each intentional one (numba-compiled bodies, O(B) scatter/validation,
-  RNG stream ordering) carries a waiver with its justification.
+  each intentional one (O(B) scatter/validation, RNG stream ordering)
+  carries a waiver with its justification.
   Comprehensions are deliberately exempt: the gather/scatter idiom
   builds arrays from per-board attributes and is not a hot loop.
 """

@@ -24,8 +24,9 @@ temperatures).  That makes the K-substep RC chain linear in the state,
 so the fused kernels integrate a whole interval in one propagator pass
 and only lanes whose fan speed or quantised cooling factor actually
 changes mid-interval fall back to per-substep stepping.  The idle-gap
-cooldown path (``power_every=1``) keeps the historical per-substep power
-re-evaluation, bit-identical to looped :meth:`OdroidBoard.step` calls.
+cooldown path (``power_every=1``) re-evaluates power before every
+substep and steps it through the same per-substep kernel,
+bit-identical to looped :meth:`OdroidBoard.step` calls.
 
 Every kernel is elementwise over the batch axis (reductions only run over
 fixed-size axes such as the four cores), and per-lane RNG streams are
@@ -240,9 +241,10 @@ class BatchPlant:
             :mod:`repro.thermal.kernels`.  This is the engine's control
             interval semantics.
         ``1``
-            Re-evaluate at every substep -- ``substeps`` consecutive
-            :meth:`OdroidBoard.step` calls, bit-for-bit (the scenario
-            idle-gap cooldown contract).
+            Re-evaluate before every substep and advance it through
+            :func:`repro.thermal.kernels.substep_loop` -- ``substeps``
+            consecutive :meth:`OdroidBoard.step` calls, bit-for-bit (the
+            scenario idle-gap cooldown contract).
 
         Either way the fan controller reacts to every substep's new
         hotspots and the platform meter samples every substep with the
@@ -280,10 +282,50 @@ class BatchPlant:
             gpu_activity,
         )
 
+        # one kernel call per block of substeps under held power: the
+        # whole interval through the fused kernel, or one substep at a
+        # time so power is re-evaluated before each
         if power_every == substeps:
-            self._advance_fused(state, inputs, noise, dt_s, substeps)
+            kernel = kernels.advance_held_interval
         else:
-            self._advance_substep_power(state, inputs, noise, dt_s, substeps)
+            kernel = kernels.substep_loop
+        for k in range(0, substeps, power_every):
+            ps, node_p = self._evaluate_power(inputs, state.temps_k)
+            state.temps_k, speeds = kernel(
+                self.network,
+                state.temps_k,
+                state.cooling_gain,
+                state.fan_speed,
+                state.fan_enabled,
+                node_p,
+                dt_s,
+                power_every,
+                self._fan_up_k,
+                self._fan_hyst_k,
+                self._fan_gain,
+                self._hot_idx,
+            )
+            state.fan_speed = speeds[:, -1]
+            state.cooling_gain = self._fan_gain[state.fan_speed]
+
+            # the meter prices every substep at its post-update fan speed
+            true_platform = (
+                ps.soc_total_w[:, np.newaxis]
+                + self._fan_power_w[speeds]
+                + self._static_w
+            )
+            readings = np.maximum(
+                0.0, true_platform * (1.0 + noise[:, k : k + power_every])
+            )
+            # einsum's reduction over the substep axis is sequential per
+            # lane, so the accumulated energy is lane-independent
+            state.energy_j = (
+                state.energy_j + np.einsum("bk->b", readings) * dt_s
+            )
+            state.meter_elapsed_s = state.meter_elapsed_s + dt_s * power_every
+            state.last_reading_w = readings[:, -1]
+            state.time_s = state.time_s + dt_s * power_every
+            self._store_power(state, ps)
 
     # ------------------------------------------------------------------
     def _evaluate_power(self, inputs, temps: np.ndarray):
@@ -311,106 +353,6 @@ class BatchPlant:
         state.soc_total_w = ps.soc_total_w
         state.dynamic_w = ps.dynamic_w
         state.leakage_w = ps.leakage_w
-
-    def _advance_fused(
-        self,
-        state: PlantState,
-        inputs,
-        noise: np.ndarray,
-        dt_s: float,
-        substeps: int,
-    ) -> None:
-        """One control interval under zero-order-hold power.
-
-        Power is evaluated once at the entry temperatures; the K-substep
-        RC chain then runs through the fused propagator kernel (with
-        per-substep fallback for lanes whose fan or quantised cooling
-        factor transitions mid-interval -- see
-        :func:`repro.thermal.kernels.advance_held_interval`).  Meter
-        accounting prices every substep at that substep's post-update
-        fan speed, vectorised over the whole ``(B, K)`` reading matrix.
-        """
-        batch = state.batch
-        ps, node_p = self._evaluate_power(inputs, state.temps_k)
-        u = np.concatenate(
-            [node_p, np.full((batch, 1), self.network.ambient_k)], axis=1
-        )
-        temps, speeds = kernels.advance_held_interval(
-            self.network,
-            state.temps_k,
-            state.cooling_gain,
-            state.fan_speed,
-            state.fan_enabled,
-            u,
-            dt_s,
-            substeps,
-            self._fan_up_k,
-            self._fan_hyst_k,
-            self._fan_gain,
-            self._hot_idx,
-        )
-        state.temps_k = temps
-        state.fan_speed = speeds[:, -1]
-        state.cooling_gain = self._fan_gain[state.fan_speed]
-
-        true_platform = (
-            ps.soc_total_w[:, np.newaxis]
-            + self._fan_power_w[speeds]
-            + self._static_w
-        )
-        readings = np.maximum(0.0, true_platform * (1.0 + noise))
-        # einsum's reduction over the substep axis is sequential per
-        # lane, so the accumulated energy is lane-independent
-        state.energy_j = state.energy_j + np.einsum("bk->b", readings) * dt_s
-        state.meter_elapsed_s = state.meter_elapsed_s + dt_s * substeps
-        state.last_reading_w = readings[:, -1]
-        state.time_s = state.time_s + dt_s * substeps
-        self._store_power(state, ps)
-
-    def _advance_substep_power(
-        self,
-        state: PlantState,
-        inputs,
-        noise: np.ndarray,
-        dt_s: float,
-        substeps: int,
-    ) -> None:
-        """Per-substep power re-evaluation (``power_every=1``).
-
-        The historical interval semantics, kept bit-identical to looped
-        :meth:`OdroidBoard.step` calls -- the scenario idle-gap cooldown
-        and its serial per-board transcription test rest on this path.
-        """
-        temps = state.temps_k
-        for k in range(substeps):
-            ps, node_p = self._evaluate_power(inputs, temps)
-            temps = self.network.step_batch(
-                temps, node_p, dt_s, state.cooling_gain
-            )
-
-            max_hot = np.max(temps[:, self._hot_idx], axis=1)
-            state.fan_speed = kernels.fan_step(
-                state.fan_speed,
-                state.fan_enabled,
-                max_hot,
-                self._fan_up_k,
-                self._fan_hyst_k,
-            )
-            state.cooling_gain = self._fan_gain[state.fan_speed]
-
-            true_platform = (
-                ps.soc_total_w
-                + self._fan_power_w[state.fan_speed]
-                + self._static_w
-            )
-            reading = np.maximum(0.0, true_platform * (1.0 + noise[:, k]))
-            state.energy_j = state.energy_j + reading * dt_s
-            state.meter_elapsed_s = state.meter_elapsed_s + dt_s
-            state.last_reading_w = reading
-            state.time_s = state.time_s + dt_s
-
-        state.temps_k = temps
-        self._store_power(state, ps)
 
     def hotspots_k(self, state: PlantState) -> np.ndarray:
         """True hotspot (big core) temperatures of every lane, ``(B, 4)``."""

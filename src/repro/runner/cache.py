@@ -508,9 +508,9 @@ class ResultCache:
             data = self._read_trace(key, mmap=self.mmap)
             result = summary_to_result(payload, data)
         except (OSError, ValueError, KeyError, TypeError, SimulationError,
-                zipfile.BadZipFile):
-            # corrupt/stale/format-1 entry: treat as a miss, let the
-            # writer replace it
+                zipfile.BadZipFile, zlib.error):
+            # corrupt/truncated/stale/format-1 entry: treat as a miss, let
+            # the writer replace it
             return None
         self._touch(path)
         return result

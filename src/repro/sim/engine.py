@@ -40,7 +40,6 @@ from repro.platform.state import BatchPlant
 from repro.sim.consumers import TraceConsumer, ViolationCounter
 from repro.sim.run_result import RUN_COLUMNS, RunResult, TraceRecorder
 from repro.sim.scheduler import LoadBalancer
-from repro.thermal import kernels
 from repro.units import KELVIN_OFFSET
 from repro.workloads.trace import WorkloadProgress, WorkloadTrace
 
@@ -307,10 +306,6 @@ class BatchSimulator:
         self.sims: List[Simulator] = list(sims)
         # validates spec / thermal-network / fan compatibility
         self.plant = BatchPlant([sim.board for sim in self.sims])
-        # resolve the substep-kernel backend up front so a bad
-        # REPRO_KERNEL (unknown name, numba requested but not installed)
-        # fails here rather than mid-run inside the hot loop
-        self.kernel_backend = kernels.active_backend()
 
     # ------------------------------------------------------------------
     def run(self) -> List[RunResult]:

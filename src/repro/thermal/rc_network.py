@@ -13,8 +13,6 @@ simulation is unconditionally stable regardless of node time constants.
 
 from __future__ import annotations
 
-import hashlib
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
@@ -31,27 +29,6 @@ from repro.errors import ConfigurationError, SimulationError
 #: used entries beyond this bound (an ``expm`` recompute on a miss is
 #: cheap relative to unbounded memory growth).
 DISC_CACHE_SIZE = 256
-
-#: Capacity of the process-wide discretisation memo shared by
-#: physics-identical network instances (see :meth:`ThermalRCNetwork._discretise`).
-#: A suite fans out many simulators over the *same* platform physics --
-#: every lane used to pay the ``expm`` for the same ``(A, dt)`` pairs its
-#: siblings had already computed; the shared level dedupes that work
-#: across instances.  Keys include a content hash of exactly the fields
-#: ``physics_equal`` compares, so two networks share an entry iff they
-#: would discretise identically -- the memo can therefore never change a
-#: result, only skip a bit-identical recompute.
-SHARED_DISC_CACHE_SIZE = 1024
-
-_SHARED_DISC_LOCK = threading.Lock()
-_SHARED_DISC_CACHE: "OrderedDict[Tuple[str, float, float], Tuple[np.ndarray, np.ndarray]]" = OrderedDict()
-
-
-def clear_shared_disc_cache() -> None:
-    """Drop the process-wide discretisation memo (test isolation)."""
-    with _SHARED_DISC_LOCK:
-        _SHARED_DISC_CACHE.clear()
-
 
 @dataclass(frozen=True)
 class ThermalNode:
@@ -142,24 +119,6 @@ class ThermalRCNetwork:
         # (dt, effective_gain) -> (Ad, Bd) discretisation LRU cache,
         # bounded at DISC_CACHE_SIZE entries (see discretise)
         self._disc_cache: "OrderedDict[Tuple[float, float], Tuple[np.ndarray, np.ndarray]]" = OrderedDict()
-        # content hash of exactly the fields physics_equal compares: the
-        # shared-memo namespace, so physics-identical instances hit each
-        # other's discretisations and different physics never collide
-        digest = hashlib.sha256()
-        digest.update(
-            repr(
-                (
-                    self.ambient_k,
-                    self.nonlinear_cooling_coeff,
-                    tuple(n_.name for n_ in nodes),
-                )
-            ).encode("utf-8")
-        )
-        digest.update(self._g_coupling.tobytes())
-        digest.update(self._g_ambient.tobytes())
-        digest.update(self._capacitance.tobytes())
-        digest.update(self._cooled_mask.tobytes())
-        self._physics_key = digest.hexdigest()
 
     # ------------------------------------------------------------------
     # accessors
@@ -259,32 +218,16 @@ class ThermalRCNetwork:
     def _discretise(self, dt_s: float, gain: float) -> Tuple[np.ndarray, np.ndarray]:
         """Exact ZOH discretisation of the network for step ``dt_s``.
 
-        Two memo levels: a per-instance LRU (``DISC_CACHE_SIZE`` entries,
-        lock-free -- the quantised effective gains of a steady run touch a
-        handful of keys) in front of the process-wide
-        ``_SHARED_DISC_CACHE`` keyed by the instance's physics hash.  A
-        suite builds one plant per simulator over identical platform
-        physics; the shared level means only the *first* instance pays
-        the ``expm`` for each ``(A, dt)`` pair -- every sibling gathers
-        the same matrices (bit-identical: the memo stores, it never
-        recomputes differently).  Matrices handed back are shared and
-        must not be mutated (``discretise_stack`` copies via its gather).
+        Memoised in a per-instance LRU (``DISC_CACHE_SIZE`` entries; the
+        quantised effective gains of a steady run touch a handful of
+        keys).  Matrices handed back are shared and must not be mutated
+        (``discretise_stack`` copies via its gather).
         """
         key = (round(dt_s, 9), round(gain, 9))
         cached = self._disc_cache.get(key)
         if cached is not None:
             self._disc_cache.move_to_end(key)
             return cached
-        shared_key = (self._physics_key, key[0], key[1])
-        with _SHARED_DISC_LOCK:
-            shared = _SHARED_DISC_CACHE.get(shared_key)
-            if shared is not None:
-                _SHARED_DISC_CACHE.move_to_end(shared_key)
-        if shared is not None:
-            self._disc_cache[key] = shared
-            if len(self._disc_cache) > DISC_CACHE_SIZE:
-                self._disc_cache.popitem(last=False)
-            return shared
 
         g_full, g_amb = self._effective_g(gain)
         c_inv = 1.0 / self._capacitance
@@ -304,10 +247,6 @@ class ThermalRCNetwork:
         self._disc_cache[key] = (ad, bd)
         if len(self._disc_cache) > DISC_CACHE_SIZE:
             self._disc_cache.popitem(last=False)
-        with _SHARED_DISC_LOCK:
-            _SHARED_DISC_CACHE[shared_key] = (ad, bd)
-            if len(_SHARED_DISC_CACHE) > SHARED_DISC_CACHE_SIZE:
-                _SHARED_DISC_CACHE.popitem(last=False)
         return ad, bd
 
     def discretise_stack(

@@ -233,6 +233,64 @@ def test_batched_fan_controller_matches_scalar(rng):
         assert [FanSpeed(int(s)) for s in state.fan_speed] == expected
 
 
+def test_idle_path_matches_per_board_step_loops():
+    """``advance_interval(power_every=1)`` == per-board ``step`` loops,
+    meter accounting included (the scenario cooldown resets the meter
+    after every gap, so only this test pins it)."""
+    from repro.platform.board import OdroidBoard
+
+    spec = PlatformSpec()
+    big = (0.03, 0.02, 0.02, 0.02)
+    little = (0.0,) * 4
+    lanes_recipe = [  # (warm start C, fan enabled): 60 and 63 C engage
+        (48.0, True), (51.0, False), (54.0, True),
+        (57.0, False), (60.0, True), (63.0, True),
+    ]
+
+    def boards():
+        out = []
+        for lane, (warm_c, fan) in enumerate(lanes_recipe):
+            board = OdroidBoard(
+                spec, rng=np.random.default_rng(300 + lane), fan_enabled=fan
+            )
+            board.warm_start(warm_c)
+            out.append(board)
+        return out
+
+    serial = boards()
+    engaged = 0
+    for board in serial:
+        fan_on = False
+        for _ in range(400):
+            board.step(big, little, 0.0, 0.03, 0.1)
+            fan_on |= board.fan.speed != FanSpeed.OFF
+        engaged += fan_on
+    assert engaged == 2
+
+    batched = boards()
+    for board in batched:
+        board.soc.gpu.set_utilisation(0.0)
+        board.soc.mem.set_traffic(0.03)
+    plant = BatchPlant(batched)
+    lanes = range(len(batched))
+    state = plant.gather(lanes)
+    batch = len(batched)
+    plant.advance_interval(
+        state, lanes, np.tile(big, (batch, 1)), np.zeros((batch, 4)),
+        np.ones(batch), np.ones(batch), 0.1, 400, power_every=1,
+    )
+    plant.scatter(state, lanes)
+    for one, many in zip(serial, batched):
+        assert np.array_equal(
+            one.network.temperatures_k, many.network.temperatures_k
+        )
+        assert one.fan.speed == many.fan.speed
+        assert one.meter.energy_j == many.meter.energy_j
+        assert one.meter.elapsed_s == many.meter.elapsed_s
+        assert one.meter.last_reading_w == many.meter.last_reading_w
+        assert one.time_s == many.time_s
+
+
 def test_sensor_read_all_matches_scalar_reads(rng):
     from repro.platform.sensors import SensorBank
 

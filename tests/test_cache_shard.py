@@ -148,6 +148,20 @@ def test_mapped_read_survives_a_concurrent_rehydration(
     assert result_bytes(reader.get(key)) == result_bytes(result)  # no miss
 
 
+@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mapped"])
+def test_truncated_compressed_blob_is_a_clean_miss(tmp_path, result, mmap):
+    key = "2f" * 32
+    root = str(tmp_path)
+    ResultCache(root=root, compress="deflate").put(key, result)
+    blob = tmp_path / key[:2] / (key + ".npz.z")
+    blob.write_bytes(blob.read_bytes()[: blob.stat().st_size // 2])
+    reader = ResultCache(root=root, memory=False, mmap=mmap, compress="deflate")
+    assert reader.get(key) is None
+    assert reader.stats_snapshot().misses == 1
+    reader.put(key, result)  # the writer replaces the damaged entry
+    assert result_bytes(reader.get(key)) == result_bytes(result)
+
+
 def test_unknown_codec_rejected(tmp_path):
     for codec in ("lz4", "zstd"):
         with pytest.raises(ConfigurationError):

@@ -3,15 +3,13 @@
 The fused interval kernel (:mod:`repro.thermal.kernels`) must be
 unobservable: fused chain == per-substep loop == scalar ``step()`` +
 ``Fan.update`` byte-for-byte, whatever mix of fan transitions, cooldowns
-and B=1 views a batch throws at it.  The optional numba backend is held
-to a documented tolerance instead (it may fuse multiply-adds), and is
-never the default.
+and B=1 views a batch throws at it.  The per-substep reference is
+:func:`kernels.substep_loop`, called directly at kernel level and
+substituted for :func:`kernels.advance_held_interval` at engine level.
 """
 
 import numpy as np
-import pytest
 
-from repro.errors import ConfigurationError
 from repro.platform.fan import Fan, FanThresholds
 from repro.platform.specs import PlatformSpec
 from repro.runner import result_bytes
@@ -25,6 +23,8 @@ FAN = Fan(SPEC.fan_power_w, SPEC.fan_conductance_gain, FanThresholds())
 UP_K = FAN.threshold_points_k()
 HYST_K = FAN.hysteresis_k
 GAINS = FAN.conductance_gain_table()
+FUSED = kernels.advance_held_interval
+REFERENCE = kernels.substep_loop
 
 
 def _network():
@@ -45,54 +45,17 @@ def _random_states(rng, network, batch):
     # a couple of lanes carry an externally forced gain (warm-start case)
     forced = rng.random(batch) < 0.15
     cooling_gain = np.where(forced, 1.0, cooling_gain)
-    u = np.concatenate(
-        [4.0 * rng.random((batch, n)), np.full((batch, 1), network.ambient_k)],
-        axis=1,
-    )
-    return temps, cooling_gain, fan_speed, fan_enabled, u
+    power = 4.0 * rng.random((batch, n))
+    return temps, cooling_gain, fan_speed, fan_enabled, power
 
 
-def _advance(network, states, backend, substeps=10, dt=0.01):
-    temps, gain, speed, enabled, u = states
-    return kernels.advance_held_interval(
+def _advance(network, states, kernel, substeps=10, dt=0.01):
+    temps, gain, speed, enabled, power = states
+    return kernel(
         network, temps.copy(), gain.copy(), speed.copy(), enabled.copy(),
-        u.copy(), dt, substeps, UP_K, HYST_K, GAINS, floorplan.hot_indices(network),
-        backend=backend,
+        power.copy(), dt, substeps, UP_K, HYST_K, GAINS,
+        floorplan.hot_indices(network),
     )
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-def test_active_backend_default_is_numpy(monkeypatch):
-    monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-    assert kernels.active_backend() == "numpy"
-    monkeypatch.setenv(kernels.ENV_VAR, "numpy-substep")
-    assert kernels.active_backend() == "numpy-substep"
-
-
-def test_active_backend_rejects_unknown(monkeypatch):
-    monkeypatch.setenv(kernels.ENV_VAR, "fortran")
-    with pytest.raises(ConfigurationError):
-        kernels.active_backend()
-
-
-@pytest.mark.skipif(kernels.HAVE_NUMBA, reason="numba is installed here")
-def test_numba_request_without_numba_fails(monkeypatch):
-    monkeypatch.setenv(kernels.ENV_VAR, "numba")
-    with pytest.raises(ConfigurationError):
-        kernels.active_backend()
-
-
-def test_bad_backend_fails_at_engine_construction(monkeypatch):
-    monkeypatch.setenv(kernels.ENV_VAR, "fortran")
-    sim = Simulator(
-        synthesize("low", 6.0, threads=1, seed=3),
-        ThermalMode.NO_FAN,
-        max_duration_s=2.0,
-    )
-    with pytest.raises(ConfigurationError):
-        BatchSimulator([sim])
 
 
 # ---------------------------------------------------------------------------
@@ -101,22 +64,22 @@ def test_bad_backend_fails_at_engine_construction(monkeypatch):
 def test_fused_matches_substep_loop_bitwise(rng):
     network = _network()
     states = _random_states(rng, network, batch=41)
-    t_fused, s_fused = _advance(network, states, "numpy")
-    t_ref, s_ref = _advance(network, states, "numpy-substep")
+    t_fused, s_fused = _advance(network, states, FUSED)
+    t_ref, s_ref = _advance(network, states, REFERENCE)
     assert np.array_equal(t_fused, t_ref)
     assert np.array_equal(s_fused, s_ref)
 
 
 def test_fused_lanes_are_batch_independent(rng):
     network = _network()
-    temps, gain, speed, enabled, u = _random_states(rng, network, batch=17)
-    t_full, s_full = _advance(network, (temps, gain, speed, enabled, u), "numpy")
+    temps, gain, speed, enabled, power = _random_states(rng, network, batch=17)
+    t_full, s_full = _advance(network, (temps, gain, speed, enabled, power), FUSED)
     for b in range(temps.shape[0]):
         one = (
             temps[b : b + 1], gain[b : b + 1], speed[b : b + 1],
-            enabled[b : b + 1], u[b : b + 1],
+            enabled[b : b + 1], power[b : b + 1],
         )
-        t_one, s_one = _advance(network, one, "numpy")
+        t_one, s_one = _advance(network, one, FUSED)
         assert np.array_equal(t_one[0], t_full[b])
         assert np.array_equal(s_one[0], s_full[b])
 
@@ -125,15 +88,15 @@ def test_substep_loop_matches_scalar_step_and_fan(rng):
     """B=1 kernel == the serial board's step()/Fan.update interleaving."""
     network = _network()
     scalar_net = _network()
-    temps, gain, speed, enabled, u = _random_states(rng, network, batch=6)
+    temps, gain, speed, enabled, power = _random_states(rng, network, batch=6)
     for b in range(temps.shape[0]):
         t_kernel, s_kernel = _advance(
             network,
             (
                 temps[b : b + 1], gain[b : b + 1], speed[b : b + 1],
-                enabled[b : b + 1], u[b : b + 1],
+                enabled[b : b + 1], power[b : b + 1],
             ),
-            "numpy-substep",
+            REFERENCE,
             substeps=10,
         )
         fan = Fan(
@@ -145,7 +108,7 @@ def test_substep_loop_matches_scalar_step_and_fan(rng):
         scalar_net.set_cooling_gain(float(gain[b]))
         hot = floorplan.hot_indices(scalar_net)
         for _ in range(10):
-            t = scalar_net.step(u[b, :-1], 0.01)
+            t = scalar_net.step(power[b], 0.01)
             fan.update(float(np.max(t[hot])))
             scalar_net.set_cooling_gain(fan.conductance_gain)
         assert np.array_equal(t_kernel[0], scalar_net.temperatures_k)
@@ -160,15 +123,15 @@ def test_dirty_lane_detection_flags_transitions(rng):
     # threshold with enough power to cross it mid-interval (dirty)
     temps = np.full((2, n), celsius_to_kelvin(40.0))
     temps[1] = celsius_to_kelvin(56.8)
-    u = np.zeros((2, n + 1))
-    u[:, -1] = network.ambient_k
-    u[1, hot] = 6.0
+    power = np.zeros((2, n))
+    power[1, hot] = 6.0
     speed = np.zeros(2, dtype=np.int64)
     enabled = np.ones(2, dtype=bool)
     gain = GAINS[speed]
     nl_entry = network.nonlinear_factors(temps)
     gains = gain * nl_entry
     ad, bd = network.discretise_stack(0.01, gains)
+    u = np.concatenate([power, np.full((2, 1), network.ambient_k)], axis=1)
     bu = np.einsum("bij,bj->bi", bd, u)
     traj = kernels.fused_chain(ad, bu, temps, 10)
     dirty = kernels.dirty_lanes(
@@ -177,9 +140,9 @@ def test_dirty_lane_detection_flags_transitions(rng):
     assert not dirty[0]
     assert dirty[1]
     # and the full kernel still matches the reference on both lanes
-    states = (temps, gain, speed, enabled, u)
-    t_fused, s_fused = _advance(network, states, "numpy")
-    t_ref, s_ref = _advance(network, states, "numpy-substep")
+    states = (temps, gain, speed, enabled, power)
+    t_fused, s_fused = _advance(network, states, FUSED)
+    t_ref, s_ref = _advance(network, states, REFERENCE)
     assert np.array_equal(t_fused, t_ref)
     assert np.array_equal(s_fused, s_ref)
     assert s_fused[1, -1] >= 1  # the dirty lane really did engage its fan
@@ -191,14 +154,12 @@ def test_disabled_fan_with_forced_speed_is_dirty(rng):
     network = _network()
     n = network.num_nodes
     temps = np.full((1, n), celsius_to_kelvin(50.0))
-    u = np.zeros((1, n + 1))
-    u[:, -1] = network.ambient_k
     states = (
         temps, np.array([GAINS[2]]), np.array([2], dtype=np.int64),
-        np.array([False]), u,
+        np.array([False]), np.zeros((1, n)),
     )
-    t_fused, s_fused = _advance(network, states, "numpy")
-    t_ref, s_ref = _advance(network, states, "numpy-substep")
+    t_fused, s_fused = _advance(network, states, FUSED)
+    t_ref, s_ref = _advance(network, states, REFERENCE)
     assert np.array_equal(t_fused, t_ref)
     assert np.array_equal(s_fused, s_ref)
     assert s_fused[0, 0] == 0
@@ -213,26 +174,12 @@ def test_cooldown_interval_parity(rng):
     temps = celsius_to_kelvin(55.0) + 12.0 * rng.random((batch, n))
     speed = np.full(batch, 3, dtype=np.int64)
     enabled = np.ones(batch, dtype=bool)
-    u = np.zeros((batch, n + 1))
-    u[:, -1] = network.ambient_k
-    states = (temps, GAINS[speed], speed, enabled, u)
-    t_fused, s_fused = _advance(network, states, "numpy", substeps=50, dt=0.5)
-    t_ref, s_ref = _advance(network, states, "numpy-substep", substeps=50, dt=0.5)
+    states = (temps, GAINS[speed], speed, enabled, np.zeros((batch, n)))
+    t_fused, s_fused = _advance(network, states, FUSED, substeps=50, dt=0.5)
+    t_ref, s_ref = _advance(network, states, REFERENCE, substeps=50, dt=0.5)
     assert np.array_equal(t_fused, t_ref)
     assert np.array_equal(s_fused, s_ref)
     assert np.any(s_fused[:, -1] < 3)  # the cooldown really stepped down
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-def test_numba_chain_within_tolerance(rng):
-    network = _network()
-    states = _random_states(rng, network, batch=23)
-    t_np, s_np = _advance(network, states, "numpy")
-    t_nb, s_nb = _advance(network, states, "numba")
-    # fan speeds are discrete decisions on the (tolerance-close)
-    # trajectory; any drift would surface as a speed flip
-    assert np.array_equal(s_np, s_nb)
-    np.testing.assert_allclose(t_nb, t_np, rtol=1e-12, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +205,8 @@ def _engine_sims():
 
 
 def test_engine_fused_backend_byte_identical_to_substep(monkeypatch):
-    monkeypatch.setenv(kernels.ENV_VAR, "numpy-substep")
-    reference = BatchSimulator(_engine_sims()).run()
-    monkeypatch.setenv(kernels.ENV_VAR, "numpy")
     fused = BatchSimulator(_engine_sims()).run()
+    monkeypatch.setattr(kernels, "advance_held_interval", REFERENCE)
+    reference = BatchSimulator(_engine_sims()).run()
     for one, two in zip(reference, fused):
         assert result_bytes(one) == result_bytes(two)

@@ -152,3 +152,31 @@ def test_node_validation():
         ThermalNode("bad", -1.0)
     with pytest.raises(ConfigurationError):
         ThermalNode("bad", 1.0, g_ambient_w_per_k=-0.1)
+
+
+def test_physics_equal_instances_discretise_bit_identically():
+    """BatchPlant lets the first board's network serve every lane, so two
+    physics-equal instances must hand back the same matrices bit-for-bit
+    (each from its own per-instance cache)."""
+    net, clone = _two_node(), _two_node()
+    assert clone.physics_equal(net)
+    gains = np.array([1.0, 2.5, 1.3, 1.0])
+    direct_a, direct_b = net.discretise_stack(0.05, gains)
+    clone_a, clone_b = clone.discretise_stack(0.05, gains)
+    assert np.array_equal(direct_a, clone_a)
+    assert np.array_equal(direct_b, clone_b)
+    # stepping through the cached matrices is bit-identical too
+    t = np.array([[310.0, 305.0]])
+    p = np.array([[2.0, 0.0]])
+    g = np.array([1.3])
+    assert np.array_equal(
+        net.step_batch(t, p, 0.05, g), clone.step_batch(t, p, 0.05, g)
+    )
+
+
+def test_gathered_stacks_are_copies():
+    net = _two_node()
+    a, _ = net.discretise_stack(0.05, np.array([1.0]))
+    a[0, 0, 0] = 1e9  # mutating the gathered stack must not poison the cache
+    again, _ = net.discretise_stack(0.05, np.array([1.0]))
+    assert again[0, 0, 0] != 1e9

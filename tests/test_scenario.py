@@ -138,13 +138,24 @@ def _reference_chain(
     return results
 
 
-def test_serial_runner_matches_per_board_idle_loop(workloads):
+@pytest.mark.parametrize(
+    "mode, initial_temp_c",
+    [
+        (ThermalMode.NO_FAN, 30.0),
+        # the carried heat engages the fan (0 -> 1) during the gap
+        (ThermalMode.DEFAULT_WITH_FAN, 60.0),
+    ],
+    ids=["no_fan", "fan_engages"],
+)
+def test_serial_runner_matches_per_board_idle_loop(
+    workloads, mode, initial_temp_c
+):
     """The batched idle-gap integration is bit-equal to board.step loops."""
     reference = _reference_chain(
-        ThermalMode.NO_FAN, workloads, initial_temp_c=30.0, idle_gap_s=7.0
+        mode, workloads, initial_temp_c=initial_temp_c, idle_gap_s=7.0
     )
     runner = ScenarioRunner(
-        ThermalMode.NO_FAN, initial_temp_c=30.0, idle_gap_s=7.0
+        mode, initial_temp_c=initial_temp_c, idle_gap_s=7.0
     )
     results = runner.run(workloads)
     assert [result_bytes(r) for r in reference] == [
