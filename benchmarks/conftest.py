@@ -28,24 +28,17 @@ from repro.runner import (
     ParallelRunner,
     ResultCache,
     RunSpec,
-    cached_build_models,
     default_cache_dir,
 )
 from repro.sim.engine import ThermalMode
-from repro.sim.models import ModelBundle
 from repro.sim.run_result import RunResult
 from repro.workloads.benchmarks import get_benchmark
 
 ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "artifacts")
 
-
-@pytest.fixture(scope="session")
-def models() -> ModelBundle:
-    """The characterized + identified model bundle (one per session).
-
-    Served from the on-disk model store when ``REPRO_CACHE_DIR`` is set.
-    """
-    return cached_build_models()
+#: Timing text of the perf benchmarks.  Untracked: wall times change on
+#: every run, so only their ratio floors (asserts) are part of the suite.
+TIMING_DIR = os.path.join(os.path.dirname(__file__), "timings")
 
 
 @pytest.fixture(scope="session")
@@ -89,6 +82,15 @@ def save_artifact(name: str, content: str) -> str:
     """Write a rendered table/figure under benchmarks/artifacts/."""
     os.makedirs(ARTIFACT_DIR, exist_ok=True)
     path = os.path.join(ARTIFACT_DIR, name)
+    with open(path, "w") as fh:
+        fh.write(content + "\n")
+    return path
+
+
+def save_timing(name: str, content: str) -> str:
+    """Write a perf benchmark's timing text under benchmarks/timings/."""
+    os.makedirs(TIMING_DIR, exist_ok=True)
+    path = os.path.join(TIMING_DIR, name)
     with open(path, "w") as fh:
         fh.write(content + "\n")
     return path

@@ -13,7 +13,7 @@ numbers so the perf trajectory stays visible across PRs.
 
 import time
 
-from conftest import save_artifact
+from conftest import save_timing
 from repro.runner import execute_batch, result_bytes
 from repro.runner.spec import RunSpec
 from repro.sim.engine import ThermalMode
@@ -64,7 +64,7 @@ def test_batched_sweep_is_3x_faster_than_serial_loop():
         ]
 
     speedup = serial_s / batched_s
-    save_artifact(
+    save_timing(
         "perf_batch.txt",
         "batched plant core, %d-run sweep x %.0f simulated seconds\n"
         "serial per-run loop (batch=1):  %8.2f s\n"

@@ -16,7 +16,7 @@ PRs.
 
 import time
 
-from conftest import save_artifact
+from conftest import save_timing
 from repro.runner import execute_batch, result_bytes
 from repro.runner.spec import RunSpec
 from repro.sim.engine import ThermalMode
@@ -75,7 +75,7 @@ def test_batched_schedule_sweep_is_2x_faster_than_serial_chains():
         ]
 
     speedup = serial_s / batched_s
-    save_artifact(
+    save_timing(
         "perf_batch_schedules.txt",
         "batched scenario chains, %d chains x 2 positions x %.0f simulated "
         "seconds (+%.0f s idle gaps)\n"

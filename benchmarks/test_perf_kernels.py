@@ -19,7 +19,7 @@ correctness.
 import time
 
 import numpy as np
-from conftest import save_artifact
+from conftest import save_timing
 
 from repro.platform.board import OdroidBoard
 from repro.platform.specs import PlatformSpec
@@ -84,7 +84,7 @@ def test_fused_kernels_are_3x_faster_than_substep_loop(monkeypatch):
     assert np.all(fused_state.temps_k > celsius_to_kelvin(25.0))
 
     speedup = legacy_s / fused_s
-    save_artifact(
+    save_timing(
         "perf_kernels.txt",
         "fused interval kernels, %d-lane plant x %d control intervals\n"
         "per-substep batched loop (power_every=1): %8.3f s\n"

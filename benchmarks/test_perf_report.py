@@ -12,7 +12,7 @@ never drift away from the parity contract.
 
 import time
 
-from conftest import save_artifact
+from conftest import save_timing
 from repro.analysis.report import generate_report
 from repro.runner import ParallelRunner, ResultCache
 from repro.workloads.generator import synthesize
@@ -53,7 +53,7 @@ def test_warm_report_is_3x_faster_than_direct_simulation(models, tmp_path):
     assert warm_text == direct_text, "cache changed report section values"
 
     speedup = direct_s / warm_s
-    save_artifact(
+    save_timing(
         "perf_report.txt",
         "suite analytics report, %d workloads x %.0f simulated seconds\n"
         "direct simulation path:     %8.2f s\n"

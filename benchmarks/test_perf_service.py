@@ -13,7 +13,7 @@ import json
 import threading
 import time
 
-from conftest import save_artifact
+from conftest import save_timing
 from repro.runner import ParallelRunner, ResultCache, RunSpec
 from repro.service import EvaluationService
 from repro.sim.engine import ThermalMode
@@ -75,7 +75,7 @@ def test_warm_throughput_floor():
 
     total = CLIENTS * REQUESTS_PER_CLIENT
     rps = total / elapsed
-    save_artifact(
+    save_timing(
         "perf_service.txt",
         "warm POST /v1/runs throughput (%d clients x %d requests, "
         "HTTP/1.1 keep-alive)\n"

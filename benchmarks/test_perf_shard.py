@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from conftest import save_artifact
+from conftest import save_timing
 from repro.analysis.suite import SuiteFrame
 from repro.runner import ResultCache
 from repro.runner.cache import _write_layout_marker
@@ -123,7 +123,7 @@ def test_pack_indexed_open_dir_is_5x_faster(tmp_path):
     )
 
     speedup = flat_s / warm_s
-    save_artifact(
+    save_timing(
         "perf_shard.txt",
         "SuiteFrame.open_dir over %d summaries (depth-2 sharded store)\n"
         "cold (walk + build frames): %8.2f s\n"

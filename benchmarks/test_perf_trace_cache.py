@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from conftest import save_artifact
+from conftest import save_timing
 from repro.runner import ResultCache, result_bytes
 from repro.sim.run_result import RUN_COLUMNS, RunResult, TraceRecorder
 
@@ -111,7 +111,7 @@ def test_columnar_trace_cache_is_3x_faster(tmp_path):
     )
 
     speedup = legacy_s / columnar_s
-    save_artifact(
+    save_timing(
         "perf_trace_cache.txt",
         "trace record + cache store/load, %d rows x %d columns (best of %d)\n"
         "legacy (list rows + JSON entry):   %8.1f ms\n"

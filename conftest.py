@@ -1,0 +1,19 @@
+"""Fixtures shared by ``tests/`` and the ``benchmarks/`` harness.
+
+The identified model bundle is the most expensive input of both suites.
+Defining its fixture once here means one tier-1 session identifies the
+default models once.  Set ``REPRO_CACHE_DIR`` to persist them across
+sessions (and CI jobs) through the on-disk model store.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+
+@pytest.fixture(scope="session")
+def models():
+    """Characterized + identified model bundle (built once per session)."""
+    from repro.runner import cached_build_models
+
+    return cached_build_models()

@@ -10,7 +10,7 @@ overwrites the proposal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from repro.config import SimulationConfig
 from repro.core.budget import BudgetResult, PowerBudgetComputer
 from repro.core.policy import DtpmPolicy, PolicyDecision
 from repro.core.predictor import ThermalForecast, ThermalPredictor
-from repro.errors import BudgetError
+from repro.errors import BudgetError, ConfigurationError
 from repro.governors.base import PlatformConfig
 from repro.platform.board import SensorSnapshot
 from repro.platform.specs import PlatformSpec, POWER_RESOURCES, Resource
@@ -43,7 +43,18 @@ class DtpmOutcome:
 
 
 class DtpmGovernor:
-    """Predictive dynamic thermal and power management controller."""
+    """Predictive dynamic thermal and power management controller.
+
+    A governor controls one platform.  :meth:`stack` joins the governors
+    of ``B`` lanes into one whose :meth:`control` runs the power-model
+    update, the power prediction and the violation test as array passes
+    over all of them.  The per-lane decision then stays scalar, each
+    with its own governor's state, and only lanes that predict a
+    violation or run on the little cluster compute a budget.
+    """
+
+    #: The lane governors of a :meth:`stack`; None for a plain governor.
+    lanes: Optional[List["DtpmGovernor"]] = None
 
     def __init__(
         self,
@@ -73,6 +84,35 @@ class DtpmGovernor:
         )
         self.policy = policy or DtpmPolicy(self.spec, self.config)
 
+    @classmethod
+    def stack(cls, governors: Sequence["DtpmGovernor"]) -> "DtpmGovernor":
+        """One governor over ``B`` lanes, lane ``b`` = ``governors[b]``.
+
+        Gathers the lanes' constraints, predictors and power models into
+        ``[B, ...]`` arrays once.  Each lane's alpha*C is seated on a row
+        of the stacked power model, so a lane's own governor reads the
+        live value whenever its scalar budget and policy code runs.  The
+        lanes must share one platform spec.
+        """
+        governors = list(governors)
+        if len({id(g) for g in governors}) != len(governors):
+            raise ConfigurationError("a governor cannot ride in one stack twice")
+        spec = governors[0].spec
+        if any(g.spec != spec for g in governors[1:]):
+            raise ConfigurationError("stacked governors must share one spec")
+        out = cls.__new__(cls)
+        out.lanes = governors
+        out.spec = spec
+        out.power_model = PowerModel.stack([g.power_model for g in governors])
+        out.predictor = ThermalPredictor.stack([g.predictor for g in governors])
+        out._t_constraint_k = np.array(
+            [g.config.t_constraint_k for g in governors]
+        )
+        out._observed = [
+            b for b, g in enumerate(governors) if g.observer is not None
+        ]
+        return out
+
     def reset(self) -> None:
         """Clear run-scoped state."""
         self.policy.reset()
@@ -82,25 +122,50 @@ class DtpmGovernor:
     # ------------------------------------------------------------------
     def operating_point(self, config: PlatformConfig) -> OperatingPoint:
         """Voltage/frequency of each resource under a configuration."""
-        big = little = None
-        if config.cluster is Resource.BIG:
-            big = (
-                self.spec.big_opp.voltage(config.big_freq_hz),
-                config.big_freq_hz,
+        points = self._operating_points([config])
+        return OperatingPoint(
+            *(
+                (float(points.vdd[0, i]), float(points.freq[0, i]))
+                if points.active[0, i]
+                else None
+                for i in range(len(POWER_RESOURCES))
             )
-        else:
-            little = (
-                self.spec.little_opp.voltage(config.little_freq_hz),
-                config.little_freq_hz,
-            )
-        gpu = (
-            self.spec.gpu_opp.voltage(config.gpu_freq_hz),
-            config.gpu_freq_hz,
         )
-        # Memory has no DVFS: model it at its fixed rail with unit frequency
-        # so the alpha*C tracker degenerates into a traffic tracker.
-        mem = (self.spec.mem_vdd, 1.0)
-        return OperatingPoint(big=big, little=little, gpu=gpu, mem=mem)
+
+    def _operating_points(self, configs: Sequence[PlatformConfig]) -> "_Points":
+        """The operating point of every lane's configuration, as arrays.
+
+        The inactive CPU cluster is gated.  Memory has no DVFS: it is
+        modelled at its fixed rail with unit frequency, so its alpha*C
+        tracker degenerates into a traffic tracker.
+        """
+        fields = np.array(
+            [
+                (
+                    c.cluster is Resource.BIG,
+                    c.big_freq_hz,
+                    c.little_freq_hz,
+                    c.gpu_freq_hz,
+                    c.big_online,
+                    c.little_online,
+                )
+                for c in configs
+            ],
+            dtype=float,
+        )
+        on_big = fields[:, 0].astype(bool)
+        freq = np.empty((len(configs), len(POWER_RESOURCES)))
+        freq[:, :3] = fields[:, 1:4]
+        freq[:, 3] = 1.0
+        vdd = np.empty_like(freq)
+        vdd[:, 0] = self.spec.big_opp.voltage(freq[:, 0])
+        vdd[:, 1] = self.spec.little_opp.voltage(freq[:, 1])
+        vdd[:, 2] = self.spec.gpu_opp.voltage(freq[:, 2])
+        vdd[:, 3] = self.spec.mem_vdd
+        active = np.ones_like(freq, dtype=bool)
+        active[:, 0] = on_big
+        active[:, 1] = ~on_big
+        return _Points(on_big, freq, vdd, active, fields[:, 4], fields[:, 5])
 
     def predicted_power_vector(
         self,
@@ -116,69 +181,69 @@ class DtpmGovernor:
         the choice made by the default configuration to predict the power
         consumption before taking any action").
         """
-        t_hot = float(np.max(snapshot.temperatures_k))
-        powers = snapshot.powers_w.astype(float).copy()
-        idx = {r: i for i, r in enumerate(POWER_RESOURCES)}
+        stacked = DtpmGovernor.stack([self])
+        powers = np.atleast_2d(snapshot.powers_w).astype(float)
+        return stacked._predicted_powers(
+            powers,
+            np.atleast_2d(snapshot.temperatures_k).max(axis=1),
+            stacked._operating_points([current]),
+            stacked._operating_points([proposal]),
+        )[0]
 
-        if proposal.cluster is Resource.BIG:
-            same = (
-                current.cluster is Resource.BIG
-                and abs(current.big_freq_hz - proposal.big_freq_hz) < 0.5
-                and current.big_online == proposal.big_online
-            )
-            if not same:
-                online_now = (
-                    current.big_online
-                    if current.cluster is Resource.BIG
-                    else proposal.big_online
-                )
-                powers[idx[Resource.BIG]] = self.policy.predicted_cluster_power_w(
-                    self.power_model,
-                    Resource.BIG,
-                    proposal.big_freq_hz,
-                    proposal.big_online,
-                    online_now,
-                    t_hot,
-                )
-                powers[idx[Resource.LITTLE]] = 0.0
-        else:
-            same = (
-                current.cluster is Resource.LITTLE
-                and abs(current.little_freq_hz - proposal.little_freq_hz) < 0.5
-            )
-            if not same:
-                online_now = (
-                    current.little_online
-                    if current.cluster is Resource.LITTLE
-                    else proposal.little_online
-                )
-                powers[idx[Resource.LITTLE]] = self.policy.predicted_cluster_power_w(
-                    self.power_model,
-                    Resource.LITTLE,
-                    proposal.little_freq_hz,
-                    proposal.little_online,
-                    online_now,
-                    t_hot,
-                )
-                powers[idx[Resource.BIG]] = 0.0
+    def _predicted_powers(
+        self,
+        powers_w: np.ndarray,
+        t_hot: np.ndarray,
+        ran: "_Points",
+        proposed: "_Points",
+    ) -> np.ndarray:
+        """:meth:`predicted_power_vector` of every lane, ``(B, 4)``.
 
-        if abs(current.gpu_freq_hz - proposal.gpu_freq_hz) >= 0.5:
-            gpu_model = self.power_model[Resource.GPU]
-            v_new = self.spec.gpu_opp.voltage(proposal.gpu_freq_hz)
-            powers[idx[Resource.GPU]] = (
-                gpu_model.dynamic.predict_w(proposal.gpu_freq_hz, v_new)
-                + gpu_model.leakage.power_w(t_hot, v_new)
-            )
-        return powers
+        The proposal's CPU cluster is re-predicted at its new frequency,
+        with alpha*C scaled by ``online / online_now`` (the load each
+        hotplug change adds or removes, as
+        :meth:`DtpmPolicy.predicted_cluster_power_w` models it), and the
+        other cluster drops to zero; the GPU is re-predicted when its
+        frequency changes.
+        """
+        lanes = np.arange(powers_w.shape[0])
+        on_big = proposed.on_big
+        same = np.where(
+            on_big,
+            ran.on_big
+            & (np.abs(ran.freq[:, 0] - proposed.freq[:, 0]) < 0.5)
+            & (ran.big_online == proposed.big_online),
+            ~ran.on_big & (np.abs(ran.freq[:, 1] - proposed.freq[:, 1]) < 0.5),
+        )
+        online = np.where(on_big, proposed.big_online, proposed.little_online)
+        online_now = np.where(
+            on_big,
+            np.where(ran.on_big, ran.big_online, proposed.big_online),
+            np.where(ran.on_big, proposed.little_online, ran.little_online),
+        )
+        dynamic, leakage = self.power_model.predict_components_w(
+            t_hot, proposed.vdd, proposed.freq
+        )
+        cluster = np.where(on_big, 0, 1)
+        predicted = (
+            dynamic[lanes, cluster] * (online / np.maximum(1, online_now))
+            + leakage[lanes, cluster]
+        )
+        out = powers_w.copy()
+        out[lanes, cluster] = np.where(same, out[lanes, cluster], predicted)
+        out[lanes, 1 - cluster] = np.where(same, out[lanes, 1 - cluster], 0.0)
+        gpu_changed = np.abs(ran.freq[:, 2] - proposed.freq[:, 2]) >= 0.5
+        out[:, 2] = np.where(gpu_changed, dynamic[:, 2] + leakage[:, 2], out[:, 2])
+        return out
 
     # ------------------------------------------------------------------
     def control(
         self,
         snapshot: SensorSnapshot,
-        current: PlatformConfig,
-        proposal: PlatformConfig,
-        gpu_active: bool = False,
-    ) -> DtpmOutcome:
+        current,
+        proposal,
+        gpu_active=False,
+    ):
         """One DTPM control interval.
 
         Parameters
@@ -193,31 +258,56 @@ class DtpmGovernor:
         gpu_active:
             Whether the GPU is meaningfully loaded (drives the last-resort
             GPU throttle).
+
+        A plain governor takes one lane's snapshot and configurations and
+        returns its :class:`DtpmOutcome`: it runs as the one-lane stack of
+        itself.  A :meth:`stack` of ``B`` lanes takes a snapshot of
+        ``(B, 4)`` arrays and a sequence per other argument, and returns
+        one outcome per lane.
         """
+        if self.lanes is None:
+            return DtpmGovernor.stack([self]).control(
+                snapshot, [current], [proposal], [gpu_active]
+            )[0]
+        temps = np.atleast_2d(snapshot.temperatures_k)
+        powers = np.atleast_2d(snapshot.powers_w).astype(float)
+        t_hot = temps.max(axis=1)
+        ran = self._operating_points(current)
+        proposed = self._operating_points(proposal)
+
         # 1. feed the measurement into the power model (alpha*C tracking)
-        t_hot = float(np.max(snapshot.temperatures_k))
-        self.power_model.observe_vector(
-            snapshot.powers_w, t_hot, self.operating_point(current)
-        )
+        self.power_model.observe_vector(powers, t_hot, ran.vdd, ran.freq, ran.active)
 
         # optional state filtering through the identified model
-        temps_k = snapshot.temperatures_k
-        if self.observer is not None:
-            temps_k = self.observer.update(temps_k, snapshot.powers_w)
+        temps_k = temps
+        if self._observed:
+            temps_k = temps.copy()
+            for b in self._observed:
+                temps_k[b] = self.lanes[b].observer.update(temps[b], powers[b])
 
         # 2. predict the thermal outcome of the default proposal
-        p_vec = self.predicted_power_vector(snapshot, current, proposal)
-        forecast = self.predictor.forecast(
-            temps_k, p_vec, self.config.t_constraint_k
-        )
+        p_vec = self._predicted_powers(powers, t_hot, ran, proposed)
+        forecast = self.predictor.forecast(temps_k, p_vec, self._t_constraint_k)
 
+        per_lane = zip(forecast.lanes(), temps_k, powers, proposal, gpu_active)
+        return [lane._decide(*args) for lane, args in zip(self.lanes, per_lane)]
+
+    def _decide(
+        self,
+        forecast: ThermalForecast,
+        temps_k: np.ndarray,
+        powers_w: np.ndarray,
+        proposal: PlatformConfig,
+        gpu_active: bool,
+    ) -> DtpmOutcome:
+        """One lane's configuration once its forecast is known."""
         if not forecast.violation:
             # non-intrusive path; possibly migrate back to big
             decision = self.policy.consider_return_to_big(
                 self.budget_computer,
                 self.power_model,
                 temps_k,
-                snapshot.powers_w,
+                powers_w,
                 proposal,
                 self.config.t_constraint_k,
             )
@@ -235,7 +325,7 @@ class DtpmGovernor:
         try:
             budget = self.budget_computer.compute(
                 temps_k,
-                snapshot.powers_w,
+                powers_w,
                 self.config.t_constraint_k,
                 resource=resource,
             )
@@ -259,7 +349,7 @@ class DtpmGovernor:
             self.budget_computer,
             self.power_model,
             temps_k,
-            snapshot.powers_w,
+            powers_w,
             proposal,
             self.config.t_constraint_k,
             gpu_active,
@@ -271,3 +361,14 @@ class DtpmGovernor:
             budget=budget,
             decision=decision,
         )
+
+
+class _Points(NamedTuple):
+    """Operating points of ``B`` lanes' configurations."""
+
+    on_big: np.ndarray  # (B,) bool: the big cluster is the active one
+    freq: np.ndarray  # (B, 4) Hz, [big, little, gpu, mem]
+    vdd: np.ndarray  # (B, 4) V
+    active: np.ndarray  # (B, 4) bool: resources that are not gated
+    big_online: np.ndarray  # (B,)
+    little_online: np.ndarray  # (B,)

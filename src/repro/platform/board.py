@@ -29,7 +29,9 @@ class SensorSnapshot:
     """What the controller sees at one control interval.
 
     ``temperatures_k`` has one entry per big core (the hotspots);
-    ``powers_w`` follows the ``[big, little, gpu, mem]`` layout.
+    ``powers_w`` follows the ``[big, little, gpu, mem]`` layout.  The
+    snapshot a stacked :class:`~repro.core.dtpm.DtpmGovernor` takes holds
+    every lane's readings, with a leading lane axis on each field.
     """
 
     time_s: float

@@ -70,6 +70,11 @@ class SensorBank:
     Four thermal sensors (one per big core -- the hotspots) and four power
     sensors (big cluster, little cluster, GPU, memory), mirroring the
     Odroid-XU+E instrumentation.
+
+    :meth:`read_all` reads every sensor in one array pass.  A board's own
+    bank reads one board; :meth:`stack` joins the banks of ``B`` boards
+    into one bank whose :meth:`read_all` reads them all at once, over
+    ``(B, 4)`` arrays.
     """
 
     def __init__(
@@ -81,7 +86,6 @@ class SensorBank:
         temp_quantum_k: float = 0.25,
         power_noise_rel: float = 0.01,
     ) -> None:
-        self._rng = rng
         self.thermal: List[TemperatureSensor] = [
             TemperatureSensor(rng, temp_noise_k, temp_quantum_k)
             for _ in range(num_thermal)
@@ -89,6 +93,45 @@ class SensorBank:
         self.power: List[PowerSensor] = [
             PowerSensor(rng, power_noise_rel) for _ in range(num_power)
         ]
+        # the sensors' noise, quantum and floor as (lanes, sensors) arrays,
+        # gathered once; thermal sensors first, then power sensors
+        self._num_thermal = num_thermal
+        self._scale = np.array(
+            [[s.noise_sigma_k for s in self.thermal]
+             + [s.relative_noise for s in self.power]]
+        )
+        # per lane: its generator, where its Gaussians go, how many
+        noisy = self._scale[0] > 0
+        at = slice(None) if noisy.all() else np.flatnonzero(noisy)
+        self._draws = [(rng, at, int(np.count_nonzero(noisy)))]
+        quantum = np.array([[s.quantum_k for s in self.thermal]])
+        self._quantised = quantum > 0
+        self._quantum = np.where(self._quantised, quantum, 1.0)
+        self._floor = np.array([[s.floor_w for s in self.power]])
+
+    @classmethod
+    def stack(cls, banks: Sequence["SensorBank"]) -> "SensorBank":
+        """One bank over the sensors of ``B`` boards, lane ``b`` = ``banks[b]``.
+
+        Every lane keeps drawing from its own board's generator; only
+        :meth:`read_all` is defined on the result.
+        """
+        first = banks[0]
+        for bank in banks[1:]:
+            if bank._scale.shape != first._scale.shape or (
+                bank._num_thermal != first._num_thermal
+            ):
+                raise ConfigurationError(
+                    "stacked sensor banks must have the same sensors"
+                )
+        out = cls.__new__(cls)
+        out._draws = [draw for bank in banks for draw in bank._draws]
+        out._num_thermal = first._num_thermal
+        for name in ("_scale", "_quantised", "_quantum", "_floor"):
+            setattr(
+                out, name, np.concatenate([getattr(b, name) for b in banks])
+            )
+        return out
 
     def read_temperatures(self, true_temps_k: Sequence[float]) -> np.ndarray:
         """Read all thermal sensors against the true hotspot temperatures."""
@@ -110,51 +153,52 @@ class SensorBank:
             )
         return np.array([s.read(p) for s, p in zip(self.power, true_powers_w)])
 
-    def read_all(
-        self, true_temps_k: Sequence[float], true_powers_w: Sequence[float]
-    ) -> tuple:
+    def read_all(self, true_temps_k, true_powers_w) -> tuple:
         """Vectorised read of every sensor in one call.
 
-        Returns ``(temperatures_k, powers_w)``.  Consumes the shared RNG
-        stream exactly like :meth:`read_temperatures` followed by
+        Returns ``(temperatures_k, powers_w)`` in the shape of the inputs:
+        one board's ``(4,)`` vectors, or ``(B, 4)`` arrays for a
+        :meth:`stack` of ``B`` banks.  Each lane consumes its generator
+        exactly like :meth:`read_temperatures` followed by
         :meth:`read_powers` -- one Gaussian per noisy sensor, in sensor
         order -- and applies the same quantisation/floor arithmetic, so
         the values are bit-identical to the scalar reads.  (``normal(0,
         sigma)`` is ``sigma * standard_normal()`` in the generator's C
-        implementation, which is what lets one array draw replace the
-        per-sensor scalar draws.)
+        implementation, and one ``standard_normal(n)`` draw equals ``n``
+        scalar ones, which is what lets one array draw per lane replace
+        the per-sensor scalar draws.)
         """
         temps = np.asarray(true_temps_k, dtype=float)
         powers = np.asarray(true_powers_w, dtype=float)
-        if temps.shape[0] != len(self.thermal):
+        single = temps.ndim == 1
+        temps = np.atleast_2d(temps)
+        powers = np.atleast_2d(powers)
+        lanes, sensors = self._scale.shape
+        n_t = self._num_thermal
+        if temps.shape != (lanes, n_t):
             raise ConfigurationError(
-                "expected %d temperatures, got %d"
-                % (len(self.thermal), temps.shape[0])
+                "expected %d temperatures, got %d" % (n_t, temps.shape[-1])
             )
-        if powers.shape[0] != len(self.power):
+        if powers.shape != (lanes, sensors - n_t):
             raise ConfigurationError(
-                "expected %d powers, got %d" % (len(self.power), powers.shape[0])
+                "expected %d powers, got %d"
+                % (sensors - n_t, powers.shape[-1])
             )
 
-        sigma = np.array([s.noise_sigma_k for s in self.thermal])
-        quantum = np.array([s.quantum_k for s in self.thermal])
-        noisy = sigma > 0
-        out_t = temps.copy()
-        if np.any(noisy):
-            out_t[noisy] += sigma[noisy] * self._rng.standard_normal(
-                int(np.sum(noisy))
-            )
-        quantised = quantum > 0
-        q_safe = np.where(quantised, quantum, 1.0)
-        out_t = np.where(quantised, np.round(out_t / q_safe) * q_safe, out_t)
+        # a noiseless sensor draws nothing and adds 0 * 0
+        z = np.zeros((lanes, sensors))
+        for lane, (rng, at, count) in enumerate(self._draws):
+            if count:
+                z[lane, at] = rng.standard_normal(count)
+        noise = self._scale * z
 
-        rel = np.array([s.relative_noise for s in self.power])
-        floor = np.array([s.floor_w for s in self.power])
-        noisy_p = rel > 0
-        out_p = powers.copy()
-        if np.any(noisy_p):
-            out_p[noisy_p] *= 1.0 + rel[noisy_p] * self._rng.standard_normal(
-                int(np.sum(noisy_p))
-            )
-        out_p = np.maximum(floor, out_p)
+        out_t = temps + noise[:, :n_t]
+        out_t = np.where(
+            self._quantised,
+            np.round(out_t / self._quantum) * self._quantum,
+            out_t,
+        )
+        out_p = np.maximum(self._floor, powers * (1.0 + noise[:, n_t:]))
+        if single:
+            return out_t[0], out_p[0]
         return out_t, out_p

@@ -18,8 +18,23 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.errors import ModelError
 from repro.power.leakage import LeakageModel
+
+
+def vdd_squared(vdd: np.ndarray) -> np.ndarray:
+    """``vdd ** 2`` elementwise, squared the way Python squares a float.
+
+    Python's float power calls libm ``pow`` while NumPy's ``x ** 2`` is a
+    plain multiply, and the two differ in the last bit for some doubles.
+    The scalar model squares Python floats (:meth:`AlphaCEstimator.update`,
+    :meth:`DynamicPowerModel.predict_w`), so the batched power model
+    squares them the same way to stay bit-identical to it.
+    """
+    vdd = np.asarray(vdd, dtype=float)
+    return np.array([v ** 2 for v in vdd.ravel().tolist()]).reshape(vdd.shape)
 
 
 class AlphaCEstimator:
@@ -39,18 +54,31 @@ class AlphaCEstimator:
         self.smoothing = smoothing
         self.floor_f = floor_f
         self.ceiling_f = ceiling_f
-        self._alpha_c = min(max(initial_alpha_c_f, floor_f), ceiling_f)
-        self._samples = 0
+        # [alpha*C (F), samples absorbed]; see seat()
+        self._cell = np.array(
+            [min(max(initial_alpha_c_f, floor_f), ceiling_f), 0.0]
+        )
 
     @property
     def alpha_c_f(self) -> float:
         """Current alpha*C estimate (F)."""
-        return self._alpha_c
+        return float(self._cell[0])
 
     @property
     def sample_count(self) -> int:
         """Number of samples absorbed so far."""
-        return self._samples
+        return int(self._cell[1])
+
+    def seat(self, cell: np.ndarray) -> None:
+        """Move the estimate into ``cell``, a ``[alpha*C, samples]`` view.
+
+        A stacked :class:`~repro.power.model.PowerModel` seats every
+        lane's estimators on rows of its ``(B, 4, 2)`` state, so scalar
+        code that reads a lane's estimator during a batched run sees the
+        live value.
+        """
+        cell[:] = self._cell
+        self._cell = cell
 
     def update(self, dynamic_power_w: float, vdd: float, frequency_hz: float) -> float:
         """Absorb one interval's dynamic-power observation.
@@ -63,12 +91,14 @@ class AlphaCEstimator:
             raise ModelError("vdd and frequency must be positive")
         raw = dynamic_power_w / (vdd ** 2 * frequency_hz)
         raw = min(max(raw, self.floor_f), self.ceiling_f)
-        if self._samples == 0:
-            self._alpha_c = raw
+        alpha_c = self.alpha_c_f
+        if self.sample_count == 0:
+            alpha_c = raw
         else:
-            self._alpha_c += self.smoothing * (raw - self._alpha_c)
-        self._samples += 1
-        return self._alpha_c
+            alpha_c += self.smoothing * (raw - alpha_c)
+        self._cell[0] = alpha_c
+        self._cell[1] += 1
+        return alpha_c
 
 
 class DynamicPowerModel:

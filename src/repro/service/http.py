@@ -35,6 +35,8 @@ import json
 import os
 import re
 import shutil
+import socket
+import struct
 import threading
 import time
 from functools import partial
@@ -62,6 +64,10 @@ _KEY_RE = re.compile(r"^[0-9a-f]{64}$")
 #: Upper bound on accepted request bodies (custom platforms + phase lists
 #: fit in a few kB; this is pure DoS hygiene).
 MAX_BODY_BYTES = 4 * 2**20
+
+#: Seconds a connection may stall (mid-request or idle between
+#: keep-alive requests) before its handler thread gives up on it.
+REQUEST_TIMEOUT_S = 30.0
 
 #: Entries kept in the warm-response memo before it is cleared whole.
 WARM_MEMO_LIMIT = 4096
@@ -201,6 +207,20 @@ class _Handler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
     server_version = "repro-dtpm"
 
+    def setup(self) -> None:
+        super().setup()
+        # a stalled client -- a body shorter than its Content-Length, an
+        # idle keep-alive connection -- frees its thread after
+        # REQUEST_TIMEOUT_S: the kernel's receive timeout ends the read
+        # short.  (StreamRequestHandler.timeout, i.e. socket.settimeout,
+        # polls before every recv and send, which costs the warm path.)
+        seconds, fraction = divmod(REQUEST_TIMEOUT_S, 1.0)
+        self.connection.setsockopt(
+            socket.SOL_SOCKET,
+            socket.SO_RCVTIMEO,
+            struct.pack("ll", int(seconds), int(fraction * 1e6)),
+        )
+
     # ------------------------------------------------------------------
     @property
     def service(self) -> EvaluationService:
@@ -226,14 +246,21 @@ class _Handler(BaseHTTPRequestHandler):
         return body
 
     def _send_error_json(self, code: int, kind: str, message: str) -> None:
-        self._send_json(
-            code, {"error": {"type": kind, "message": message}}
-        )
+        try:
+            self._send_json(
+                code, {"error": {"type": kind, "message": message}}
+            )
+        except (BrokenPipeError, ConnectionResetError):  # client went away
+            self.close_connection = True
 
     def _read_body(self) -> Optional[bytes]:
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
+            length = -1
+        if length < 0:
+            # whatever body follows cannot be framed: drop the connection
+            self.close_connection = True
             self._send_error_json(400, "bad_request", "bad Content-Length")
             return None
         if length > MAX_BODY_BYTES:
@@ -242,7 +269,17 @@ class _Handler(BaseHTTPRequestHandler):
                 "body exceeds %d bytes" % MAX_BODY_BYTES,
             )
             return None
-        return self.rfile.read(length) if length else b""
+        # short (or None) when the client closes or stalls mid-body
+        body = self.rfile.read(length) if length else b""
+        if body is None or len(body) < length:
+            self.close_connection = True
+            self._send_error_json(
+                400, "incomplete_body",
+                "expected %d body bytes within %g s"
+                % (length, REQUEST_TIMEOUT_S),
+            )
+            return None
+        return body
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - stdlib contract

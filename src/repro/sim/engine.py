@@ -6,14 +6,16 @@ the next configuration, the thermal-management layer of the selected
 experimental configuration (Section 6.2) may overwrite it, the actuators
 apply it (with migration/hotplug stalls), and the physical plant advances.
 
-The physics is batched: a :class:`BatchSimulator` lock-steps ``B``
+The loop is batched: a :class:`BatchSimulator` lock-steps ``B``
 independent runs -- each with its own workload, mode, governor and
-controller state -- and advances all their plants per control step
+controller state -- and per control step advances all their plants
 through one struct-of-arrays kernel
-(:class:`~repro.platform.state.BatchPlant`).  :class:`Simulator` is the
-``B = 1`` view of that same code path, and every batched kernel is
-elementwise over the batch axis, so a batch of ``N`` runs produces traces
-byte-identical to ``N`` runs executed one at a time.
+(:class:`~repro.platform.state.BatchPlant`), reads all their sensors in
+one pass and runs the DTPM controller as one array step over its lanes.
+:class:`Simulator` is the ``B = 1`` view of that same code path, and
+every batched step is elementwise over the batch axis, so a batch of
+``N`` runs produces traces byte-identical to ``N`` runs executed one at
+a time.
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.config import SimulationConfig
-from repro.core.dtpm import DtpmGovernor
+from repro.core.dtpm import DtpmGovernor, DtpmOutcome
 from repro.errors import ConfigurationError
 from repro.governors.base import LoadSample, PlatformConfig
 from repro.governors.idle import IdleGovernor
 from repro.governors.ondemand import OndemandGovernor
 from repro.governors.reactive import ReactiveThrottleGovernor
 from repro.platform.board import OdroidBoard, SensorSnapshot
+from repro.platform.sensors import SensorBank
 from repro.platform.specs import (
     HOTPLUG_PENALTY_S,
     PlatformSpec,
@@ -271,11 +274,14 @@ class BatchSimulator:
     """Lock-steps ``B`` independent runs through one batched plant.
 
     Every lane keeps its own workload, thermal mode, governor, controller
-    and RNG state -- the control layer runs per lane, exactly as in a
-    standalone :class:`Simulator` -- while the physics of all lanes
-    advances through one struct-of-arrays NumPy kernel per control step.
-    Lanes that finish (or hit their duration cap) drop out of the batch;
-    the rest keep stepping.
+    and RNG state.  Per control step the physics of all lanes advances
+    through one struct-of-arrays NumPy kernel, their sensors are read in
+    one :meth:`SensorBank.read_all` over a stack of the lanes' banks, and
+    the DTPM lanes' controllers run as one :meth:`DtpmGovernor.control`
+    over a stack of their governors.  The scheduler, the default
+    governors, actuation and recording run per lane, exactly as in a
+    standalone :class:`Simulator`.  Lanes that finish (or hit their
+    duration cap) drop out of the batch; the rest keep stepping.
 
     All lanes must share the plant "shape": the platform spec, the
     thermal network physics and the control/substep timing
@@ -333,7 +339,31 @@ class BatchSimulator:
             if results[i] is None and i not in active:
                 results[i] = lane.finish()
 
+        stacked_for: List[int] = []
         while active:
+            if active != stacked_for:
+                # the active lanes' sensors and DTPM controllers as one
+                # [B, ...] step each, re-stacked as lanes drop out
+                sensors = SensorBank.stack(
+                    [lanes[i].sim.board.sensors for i in active]
+                )
+                dtpm_pos = [
+                    pos for pos, i in enumerate(active)
+                    if lanes[i].sim.mode is ThermalMode.DTPM
+                ]
+                dtpm = (
+                    DtpmGovernor.stack(
+                        [lanes[active[pos]].sim.dtpm for pos in dtpm_pos]
+                    )
+                    if dtpm_pos
+                    else None
+                )
+                # every lane of the batch is a DTPM lane: no row gather
+                dtpm_rows = (
+                    slice(None) if len(dtpm_pos) == len(active) else dtpm_pos
+                )
+                stacked_for = active
+
             # 1. place threads and account work for this interval (per lane)
             scheds = []
             for i in active:
@@ -364,38 +394,59 @@ class BatchSimulator:
             self.plant.scatter(state, active)
             hotspots = self.plant.hotspots_k(state)
 
-            # 3-6. per-lane control: governors, thermal layer, actuation,
-            # recording -- each lane exactly as a standalone run
+            # 3. every lane's sensors in one read; the recorded values as
+            # one Python list per lane
+            temps_k, powers_w = sensors.read_all(hotspots, state.powers_w)
+            temps_c = temps_k - KELVIN_OFFSET
+            sensed = np.column_stack(
+                (
+                    temps_c.max(axis=1),
+                    hotspots.max(axis=1) - KELVIN_OFFSET,
+                    temps_c,
+                    powers_w,
+                )
+            ).tolist()
+
+            # 4. the default governors' proposals (per lane)
+            proposals = []
+            for pos, i in enumerate(active):
+                lane = lanes[i]
+                lane.progress.retire(scheds[pos].work_gcycles, dt)
+                proposals.append(
+                    lane.sim._propose(
+                        scheds[pos], lane.current, lane.sim.board.time_s
+                    )
+                )
+
+            # 5. the DTPM controller: one array step over its lanes
+            outcomes: List[Optional[DtpmOutcome]] = [None] * len(active)
+            if dtpm is not None:
+                step = dtpm.control(
+                    SensorSnapshot(
+                        time_s=state.time_s[dtpm_rows],
+                        temperatures_k=temps_k[dtpm_rows],
+                        powers_w=powers_w[dtpm_rows],
+                        platform_power_w=state.last_reading_w[dtpm_rows],
+                    ),
+                    [lanes[active[pos]].current for pos in dtpm_pos],
+                    [proposals[pos] for pos in dtpm_pos],
+                    [lanes[active[pos]].sim.workload.uses_gpu for pos in dtpm_pos],
+                )
+                for pos, outcome in zip(dtpm_pos, step):
+                    outcomes[pos] = outcome
+
+            # 6. actuation and recording -- each lane as a standalone run
             still_active = []
             for pos, i in enumerate(active):
                 lane = lanes[i]
                 sim = lane.sim
-                sched = scheds[pos]
-                lane.progress.retire(sched.work_gcycles, dt)
-                temps_k, powers_w = sim.board.sensors.read_all(
-                    hotspots[pos], state.powers_w[pos]
-                )
-                snapshot = SensorSnapshot(
-                    time_s=sim.board.time_s,
-                    temperatures_k=temps_k,
-                    powers_w=powers_w,
-                    platform_power_w=sim.board.meter.last_reading_w,
-                )
-
-                proposal = sim._propose(sched, lane.current, snapshot.time_s)
-
-                outcome = None
+                proposal = proposals[pos]
+                outcome = outcomes[pos]
                 if sim.mode is ThermalMode.REACTIVE:
                     final = sim.reactive.control(
-                        snapshot.max_temperature_k, proposal
+                        float(np.max(temps_k[pos])), proposal
                     )
-                elif sim.mode is ThermalMode.DTPM:
-                    outcome = sim.dtpm.control(
-                        snapshot,
-                        lane.current,
-                        proposal,
-                        gpu_active=sim.workload.uses_gpu,
-                    )
+                elif outcome is not None:
                     final = outcome.config
                 else:
                     final = proposal
@@ -410,27 +461,26 @@ class BatchSimulator:
                 # published values are plain Python floats: consumers see
                 # the same types live, replayed from a cache artifact, or
                 # recorded (the recorder's buffer is float64 regardless)
-                temps_c = snapshot.temperatures_k - KELVIN_OFFSET
+                max_c, true_max_c, t0, t1, t2, t3, p0, p1, p2, p3 = sensed[pos]
                 interval = dict(
                     time_s=sim.board.time_s,
-                    max_temp_c=float(np.max(temps_c)),
-                    true_max_temp_c=float(np.max(hotspots[pos]))
-                    - KELVIN_OFFSET,
-                    temp0_c=float(temps_c[0]),
-                    temp1_c=float(temps_c[1]),
-                    temp2_c=float(temps_c[2]),
-                    temp3_c=float(temps_c[3]),
+                    max_temp_c=max_c,
+                    true_max_temp_c=true_max_c,
+                    temp0_c=t0,
+                    temp1_c=t1,
+                    temp2_c=t2,
+                    temp3_c=t3,
                     big_freq_hz=final.big_freq_hz,
                     little_freq_hz=final.little_freq_hz,
                     gpu_freq_hz=final.gpu_freq_hz,
                     cluster_is_big=float(final.cluster is Resource.BIG),
                     online_cores=float(final.active_online),
                     fan_speed=float(int(sim.board.fan.speed)),
-                    platform_power_w=snapshot.platform_power_w,
-                    p_big_w=float(snapshot.powers_w[0]),
-                    p_little_w=float(snapshot.powers_w[1]),
-                    p_gpu_w=float(snapshot.powers_w[2]),
-                    p_mem_w=float(snapshot.powers_w[3]),
+                    platform_power_w=sim.board.meter.last_reading_w,
+                    p_big_w=p0,
+                    p_little_w=p1,
+                    p_gpu_w=p2,
+                    p_mem_w=p3,
                     violation_predicted=float(
                         bool(outcome and outcome.violation_predicted)
                     ),

@@ -53,6 +53,18 @@ def build_models(
         predictions), "staged" (the paper's per-resource protocol) or
         "joint" (single pooled least-squares solve).
     """
+    identifier = SystemIdentifier()
+    estimators = {
+        "structured": identifier.identify_structured,
+        "staged": identifier.identify_staged,
+        "joint": identifier.identify,
+    }
+    # reject a bad name before the (seconds-long) campaign, not after it
+    if method not in estimators:
+        raise ConfigurationError(
+            "unknown identification method %r (want one of %s)"
+            % (method, sorted(estimators))
+        )
     spec = spec or PlatformSpec()
     config = config or SimulationConfig()
 
@@ -63,21 +75,7 @@ def build_models(
         power = default_power_model(spec)
 
     experiment = PrbsExperiment(spec, config, duration_s=prbs_duration_s)
-    sessions = experiment.run_all()
-    identifier = SystemIdentifier()
-    estimators = {
-        "structured": identifier.identify_structured,
-        "staged": identifier.identify_staged,
-        "joint": identifier.identify,
-    }
-    try:
-        estimate = estimators[method]
-    except KeyError:
-        raise ConfigurationError(
-            "unknown identification method %r (want one of %s)"
-            % (method, sorted(estimators))
-        ) from None
-    thermal = estimate(sessions)
+    thermal = estimators[method](experiment.run_all())
     return ModelBundle(thermal=thermal, power=power)
 
 

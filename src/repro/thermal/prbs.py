@@ -13,6 +13,7 @@ thermal dynamics (seconds) rather than the control period (100 ms).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -96,24 +97,26 @@ class PrbsSignal:
         if self.high <= self.low:
             raise ConfigurationError("high level must exceed low level")
 
+    @cached_property
+    def bits(self) -> np.ndarray:
+        """One full period of the sequence, generated once per signal."""
+        return prbs_bits(self.order, seed=self.seed)
+
     def value_at(self, time_s: float) -> float:
         """Actuator level at ``time_s`` (sequence repeats past one period)."""
-        period = 2 ** self.order - 1
-        chip = int(time_s / self.chip_s) % period
-        bit = prbs_bits(self.order, chip + 1, self.seed)[chip]
-        return self.high if bit else self.low
+        chip = int(time_s / self.chip_s) % self.bits.size
+        return self.high if self.bits[chip] else self.low
 
     def sample(self, duration_s: float, sample_period_s: float) -> np.ndarray:
         """The signal sampled on a regular grid over ``duration_s``."""
         if sample_period_s <= 0:
             raise ConfigurationError("sample period must be positive")
         n = int(round(duration_s / sample_period_s))
-        bits = prbs_bits(self.order, seed=self.seed)
-        period = bits.size
+        period = self.bits.size
         out = np.empty(n)
         for i in range(n):
             chip = int(i * sample_period_s / self.chip_s) % period
-            out[i] = self.high if bits[chip] else self.low
+            out[i] = self.high if self.bits[chip] else self.low
         return out
 
 

@@ -1,8 +1,5 @@
-"""Shared fixtures: expensive model building happens once per session.
-
-Set ``REPRO_CACHE_DIR`` to persist the identified models across sessions
-(and CI jobs); unset, every session builds them once, as before.
-"""
+"""Shared fixtures of the unit tests (``models`` lives in the root
+``conftest.py``, shared with the benchmark harness)."""
 
 from __future__ import annotations
 
@@ -11,8 +8,6 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.platform.specs import PlatformSpec
-from repro.runner import cached_build_models
-from repro.sim.models import ModelBundle
 
 
 @pytest.fixture(scope="session")
@@ -25,12 +20,6 @@ def spec() -> PlatformSpec:
 def config() -> SimulationConfig:
     """The default simulation configuration."""
     return SimulationConfig()
-
-
-@pytest.fixture(scope="session")
-def models() -> ModelBundle:
-    """Characterized + identified model bundle (built once per session)."""
-    return cached_build_models()
 
 
 @pytest.fixture()

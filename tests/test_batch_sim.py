@@ -314,6 +314,35 @@ def test_sensor_read_all_matches_scalar_reads(rng):
             assert np.array_equal(expected_p, got_p)
 
 
+def test_stacked_sensor_banks_match_scalar_reads(rng):
+    """SensorBank.stack reads B boards in one pass, each from its own
+    generator, exactly as each board's scalar reads would."""
+    from repro.platform.sensors import SensorBank
+
+    settings = [(0.15, 0.25, 0.01), (0.0, 0.25, 0.02), (0.3, 0.0, 0.0)]
+
+    def banks():
+        return [
+            SensorBank(
+                np.random.default_rng(seed), temp_noise_k=sigma,
+                temp_quantum_k=quantum, power_noise_rel=rel,
+            )
+            for seed, (sigma, quantum, rel) in enumerate(settings)
+        ]
+
+    scalar = banks()
+    stacked = SensorBank.stack(banks())
+    for _ in range(20):
+        temps = 300.0 + 50.0 * rng.random((3, 4))
+        powers = 4.0 * rng.random((3, 4))
+        got_t, got_p = stacked.read_all(temps, powers)
+        for lane, bank in enumerate(scalar):
+            assert np.array_equal(bank.read_temperatures(temps[lane]), got_t[lane])
+            assert np.array_equal(bank.read_powers(powers[lane]), got_p[lane])
+    with pytest.raises(ConfigurationError):
+        stacked.read_all(temps[:2], powers[:2])
+
+
 def test_state_space_batched_prediction_matches_scalar(models, rng):
     thermal = models.thermal
     temps = 300.0 + 40.0 * rng.random((7, thermal.num_states))

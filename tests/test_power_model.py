@@ -59,14 +59,46 @@ def test_power_model_requires_all_resources():
 
 def test_observe_vector_skips_gated_resources():
     pm = default_power_model()
-    op = OperatingPoint(
-        big=(1.25, 1.6e9), little=None, gpu=(0.9, 1.77e8), mem=(1.2, 1.0)
-    )
     powers = np.array([2.0, 0.01, 0.2, 0.3])
-    out = pm.observe_vector(powers, c2k(55), op)
-    assert Resource.BIG in out
-    assert Resource.LITTLE not in out  # gated -> not observed
-    assert Resource.GPU in out and Resource.MEM in out
+    pm.observe_vector(
+        powers,
+        c2k(55),
+        vdd=np.array([1.25, 1.0, 0.9, 1.2]),
+        frequency_hz=np.array([1.6e9, 1.0e9, 1.77e8, 1.0]),
+        active=np.array([True, False, True, True]),  # little is gated
+    )
+    counts = [pm[r].dynamic.estimator.sample_count for r in POWER_RESOURCES]
+    assert counts == [1, 0, 1, 1]
+
+
+def test_observe_vector_matches_resource_observe():
+    """The stacked update is ResourcePowerModel.observe, lane for lane."""
+    scalar = [default_power_model() for _ in range(3)]
+    stacked = [default_power_model() for _ in range(3)]
+    model = PowerModel.stack(stacked)
+    rng = np.random.default_rng(5)
+    for step in range(40):
+        powers = 3.0 * rng.random((3, 4))
+        temps = c2k(40.0 + 30.0 * rng.random(3))
+        vdd = 0.9 + 0.35 * rng.random((3, 4))
+        freq = np.column_stack([1e9 * (0.5 + rng.random((3, 3))), np.ones(3)])
+        active = rng.random((3, 4)) < 0.8
+        model.observe_vector(powers, temps, vdd, freq, active)
+        for lane, pm in enumerate(scalar):
+            for i, resource in enumerate(POWER_RESOURCES):
+                if active[lane, i]:
+                    pm[resource].observe(
+                        float(powers[lane, i]),
+                        float(temps[lane]),
+                        float(vdd[lane, i]),
+                        float(freq[lane, i]),
+                    )
+    for one, many in zip(scalar, stacked):
+        for resource in POWER_RESOURCES:
+            a = one[resource].dynamic.estimator
+            b = many[resource].dynamic.estimator
+            assert a.alpha_c_f == b.alpha_c_f
+            assert a.sample_count == b.sample_count
 
 
 def test_leakage_vector_layout():

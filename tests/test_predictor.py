@@ -74,3 +74,30 @@ def test_parameter_validation(model):
         ThermalPredictor(model, horizon_steps=0)
     with pytest.raises(ModelError):
         ThermalPredictor(model, horizon_steps=10, guard_band_k=-1.0)
+
+
+def test_stacked_forecast_matches_each_lane(model):
+    """ThermalPredictor.stack forecasts B lanes -- each with its own model,
+    horizon and guard band -- exactly as each lane's own predictor."""
+    other = DiscreteThermalModel(
+        a=0.9 * np.eye(4) + 0.01, b=np.full((4, 4), 0.2),
+        offset=np.full(4, 0.05 * c2k(25.0)), ts_s=0.1,
+    )
+    predictors = [
+        ThermalPredictor(model, horizon_steps=10, guard_band_k=0.75),
+        ThermalPredictor(other, horizon_steps=4, guard_band_k=0.0),
+        ThermalPredictor(model, horizon_steps=1, guard_band_k=2.0),
+    ]
+    stacked = ThermalPredictor.stack(predictors)
+    rng = np.random.default_rng(3)
+    temps = c2k(45.0 + 20.0 * rng.random((3, 4)))
+    powers = 3.0 * rng.random((3, 4))
+    limits = c2k(np.array([63.0, 60.0, 66.0]))
+    many = stacked.forecast(temps, powers, limits)
+    for lane, predictor in enumerate(predictors):
+        one = predictor.forecast(temps[lane], powers[lane], limits[lane])
+        row = many.lanes()[lane]
+        assert np.array_equal(one.temps_k, row.temps_k)
+        assert (one.max_temp_k, one.hottest_core, one.violation, one.margin_k) \
+            == (row.max_temp_k, row.hottest_core, row.violation, row.margin_k)
+    assert list(many.violation) != [many.violation[0]] * 3  # lanes differ

@@ -226,3 +226,57 @@ def test_graceful_shutdown_drains_queued_jobs():
         )
     finally:
         service.jobs.close(drain=False)
+
+
+# ---------------------------------------------------------------------------
+# malformed framing: a bad or short body must never hold a server thread
+# ---------------------------------------------------------------------------
+def _raw_post(service, content_length, body=b"", close_write=False):
+    """POST raw bytes on a socket with its own 5 s timeout; return the
+    reply (the server closes the connection after a framing error).  A
+    server that never answers fails with ``socket.timeout``."""
+    import socket
+
+    with socket.create_connection(service.address, timeout=5.0) as sock:
+        sock.sendall(
+            b"POST /v1/runs HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: " + content_length + b"\r\n\r\n" + body
+        )
+        if close_write:
+            sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return reply
+            reply += chunk
+
+
+def _error_of(reply):
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)["error"]["type"]
+
+
+def test_negative_content_length_is_a_400(service):
+    assert _error_of(_raw_post(service, b"-1", b"{}")) == (400, "bad_request")
+    assert _error_of(_raw_post(service, b"ten")) == (400, "bad_request")
+
+
+def test_body_shorter_than_its_length_times_out(service, monkeypatch):
+    from repro.service import http
+
+    assert 0 < http.REQUEST_TIMEOUT_S <= 60  # finite by default
+    monkeypatch.setattr(http, "REQUEST_TIMEOUT_S", 0.5)
+    # the client keeps its socket open and never sends (the rest of) it
+    for sent in (b'{"a": 1}', b""):
+        assert _error_of(_raw_post(service, b"100", sent)) == (
+            400, "incomplete_body"
+        )
+
+
+def test_body_cut_short_by_the_client_is_a_400(service):
+    reply = _raw_post(service, b"100", b'{"a": 1}', close_write=True)
+    assert _error_of(reply) == (400, "incomplete_body")
+    # and the server still answers afterwards
+    assert _get(service, "/healthz")[0] == 200
