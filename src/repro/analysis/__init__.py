@@ -17,8 +17,6 @@ from repro.analysis.stats import (
     regulation_quality_batch,
     stability_stats,
     stability_stats_batch,
-    stability_stats_streaming,
-    streaming_stability,
 )
 from repro.analysis.suite import SuiteFrame, summarize_dir
 from repro.analysis.tables import (
@@ -44,8 +42,6 @@ __all__ = [
     "regulation_quality_batch",
     "stability_stats",
     "stability_stats_batch",
-    "stability_stats_streaming",
-    "streaming_stability",
     "summarize_dir",
     "benchmark_table",
     "frequency_table",

@@ -21,7 +21,6 @@ from typing import Dict, Optional, Sequence, Union
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.sim.consumers import StreamingStability, replay
 from repro.sim.run_result import RunResult, settle_start
 
 #: One column per run: ragged sequences of 1-D arrays (views or memmaps).
@@ -126,41 +125,6 @@ def stability_stats(
         max_min_c=float(stats["max_min_c"][0]),
         variance_c2=float(stats["variance_c2"][0]),
         peak_c=float(stats["peak_c"][0]),
-    )
-
-
-def streaming_stability(
-    result: RunResult,
-    skip_s: Optional[float] = None,
-    constraint_c: Optional[float] = None,
-) -> StreamingStability:
-    """Replay a recorded run through the online stability consumer.
-
-    One pass over the columnar trace, no row materialisation: the same
-    aggregation code path a live :class:`~repro.sim.engine.Simulator`
-    feeds interval-by-interval, so streaming and post-hoc numbers agree
-    by construction.
-    """
-    if skip_s is None:
-        skip_s = 0.4 * result.execution_time_s
-    consumer = StreamingStability(skip_s=skip_s, constraint_c=constraint_c)
-    replay(result, [consumer])
-    return consumer
-
-
-def stability_stats_streaming(
-    result: RunResult, skip_s: Optional[float] = None
-) -> StabilityStats:
-    """:func:`stability_stats` computed incrementally (one trace pass)."""
-    consumer = streaming_stability(result, skip_s)
-    if consumer.settled_samples == 0:
-        raise SimulationError("run trace too short for stability metrics")
-    return StabilityStats(
-        mode=result.mode,
-        average_temp_c=consumer.average_temp_c,
-        max_min_c=consumer.max_min_c,
-        variance_c2=consumer.variance_c2,
-        peak_c=consumer.peak_c,
     )
 
 

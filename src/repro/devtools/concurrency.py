@@ -1,7 +1,7 @@
 """RPR04x -- concurrency-discipline rules.
 
-The service layer (HTTP threads, the job-queue worker pool, the async
-consumer pump) shares mutable state across threads.  The convention is
+The service layer (HTTP threads, the job-queue worker pool) and the
+result cache share mutable state across threads.  The convention is
 declarative: the line that *creates* a shared attribute carries a
 ``# guarded-by: <lockname>`` comment, and from then on every touch of
 ``self.<attr>`` outside ``__init__`` must sit lexically inside
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List
 
 from repro.devtools.framework import FileContext, Rule, dotted_name, is_self_attr
 

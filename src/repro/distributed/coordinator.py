@@ -16,11 +16,12 @@ worker pops the next unassigned job from a shared deque, so fast workers
 naturally take more batches and a straggler never blocks the queue.
 Each in-flight batch is leased: the worker streams heartbeat frames
 while executing, and a worker silent past ``lease_timeout_s`` (or one
-whose connection drops, e.g. a crash mid-batch) is declared dead -- its
-batch goes back on the queue for the surviving workers and the dead
-worker is never handed work again.  Idle threads wait on a condition
-rather than exiting, so a batch requeued late still finds takers.  Only
-when *every* worker is dead with work outstanding does the run fail.
+whose connection drops, e.g. a crash mid-batch, or whose frames do not
+decode) is declared dead -- its batch goes back on the queue for the
+surviving workers and the dead worker is never handed work again.  Idle
+threads wait on a condition rather than exiting, so a batch requeued
+late still finds takers.  Only when *every* worker is dead with work
+outstanding does the run fail.
 """
 
 from __future__ import annotations

@@ -27,21 +27,21 @@ The model bundle travels as a pickle (exactly what the in-process
 from __future__ import annotations
 
 import base64
-import io
 import json
 import pickle
 import socket
 import struct
 from typing import Any, List, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigurationError, WireError
 from repro.runner.cache import (
-    TRACE_MEMBER,
+    BLOB_ERRORS,
+    is_summary,
+    loads_json,
     result_to_summary,
     summary_to_result,
     trace_blob_bytes,
+    trace_from_npz_bytes,
 )
 from repro.runner.wire import WIRE_SCHEMA, spec_from_wire, spec_to_wire
 from repro.sim.models import ModelBundle
@@ -100,8 +100,8 @@ def recv_frame(sock: socket.socket) -> dict:
         )
     body = _recv_exact(sock, length)
     try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
+        payload = loads_json(body)
+    except ValueError as exc:
         raise ProtocolError("frame is not valid JSON: %s" % exc) from None
     if not isinstance(payload, dict) or "op" not in payload:
         raise ProtocolError('frame must be a JSON object with an "op" field')
@@ -178,15 +178,25 @@ def result_to_wire(result: RunResult) -> dict:
 
 
 def result_from_wire(obj: Any) -> RunResult:
-    """Rebuild a result shipped by :func:`result_to_wire`."""
+    """Rebuild a result shipped by :func:`result_to_wire`.
+
+    Anything malformed raises :class:`ProtocolError`: a summary that
+    fails :func:`~repro.runner.cache.is_summary`, bad base64, or a blob
+    that is not the npz of a trace matrix matching the summary.
+    """
     if not isinstance(obj, dict) or "summary" not in obj or "blob" not in obj:
         raise ProtocolError(
             "wire result must be an object with summary and blob fields"
         )
-    raw = base64.b64decode(obj["blob"])
-    with np.load(io.BytesIO(raw)) as npz:
-        data = npz[TRACE_MEMBER]
-    return summary_to_result(obj["summary"], data)
+    if not is_summary(obj["summary"]):
+        raise ProtocolError("wire result has a malformed summary")
+    try:
+        data = trace_from_npz_bytes(base64.b64decode(obj["blob"]))
+        return summary_to_result(obj["summary"], data)
+    except BLOB_ERRORS as exc:
+        raise ProtocolError(
+            "wire result has a malformed trace blob: %s" % exc
+        ) from None
 
 
 def chains_to_wire(chains: List[List[RunResult]]) -> List[List[dict]]:

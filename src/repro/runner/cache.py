@@ -53,15 +53,17 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import struct
 import tempfile
 import threading
 import time
+import tokenize
 import zipfile
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Type
 
 import numpy as np
 
@@ -113,33 +115,110 @@ SUMMARY_COUNT_FIELDS: Tuple[str, ...] = (
     "cores_offlined",
 )
 
+#: What reading a damaged trace blob raises: a missing or torn file,
+#: bytes that are no npz archive (an npy, an empty file, a bad zip or
+#: deflate stream), a member packed with a method ``zipfile`` cannot
+#: read, an npy header that does not tokenize, a missing member, or a
+#: matrix that disagrees with its summary.
+BLOB_ERRORS: Tuple[Type[BaseException], ...] = (
+    OSError,
+    EOFError,
+    ValueError,
+    KeyError,
+    TypeError,
+    NotImplementedError,
+    tokenize.TokenError,
+    zipfile.BadZipFile,
+    zlib.error,
+    SimulationError,
+)
+
+
+def loads_json(raw: bytes) -> Any:
+    """Parse a UTF-8 JSON document; ``ValueError`` on anything malformed.
+
+    ``json.loads`` raises ``RecursionError`` on nesting deeper than the
+    interpreter's recursion limit, which a few hundred kilobytes of
+    ``[`` reach.  Summaries, frame files and wire frames are all parsed
+    here, so such a document is malformed like any other.
+    """
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
+def _is_finite_number(value: Any) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _is_count(value: Any) -> bool:
+    # analytics gathers counts into int64 columns
+    return (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and -(2**63) <= value < 2**63
+    )
+
+
+def _is_str_list(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def is_summary(payload: Any) -> bool:
+    """Whether ``payload`` is a well-formed current-format summary.
+
+    The one check every reader applies before trusting a summary --
+    :func:`summary_row` (frame rows), :meth:`ResultCache.get` (a failing
+    entry is a miss) and the distributed wire decoder (a failing result
+    is a protocol error) -- so they agree on which entries exist:
+    ``"artifact": 2``, ``str`` benchmark and mode, ``bool`` completed,
+    finite numbers for :data:`SUMMARY_FLOAT_FIELDS`, int64-range ints
+    for :data:`SUMMARY_COUNT_FIELDS` (``bool`` is neither), ``notes`` and
+    ``trace.columns`` lists of ``str`` and an int ``trace.length``.
+    """
+    if not isinstance(payload, dict):
+        return False
+    trace = payload.get("trace")
+    return (
+        payload.get("artifact") == ARTIFACT_FORMAT
+        and isinstance(payload.get("benchmark"), str)
+        and isinstance(payload.get("mode"), str)
+        and isinstance(payload.get("completed"), bool)
+        and all(_is_finite_number(payload.get(f)) for f in SUMMARY_FLOAT_FIELDS)
+        and all(_is_count(payload.get(f)) for f in SUMMARY_COUNT_FIELDS)
+        and _is_str_list(payload.get("notes"))
+        and isinstance(trace, dict)
+        and _is_str_list(trace.get("columns"))
+        and _is_count(trace.get("length"))
+    )
+
 
 def summary_row(payload: Any) -> Optional[tuple]:
     """One summary payload as frame-row fields, or None if malformed.
 
     The single extraction rule behind every frame row -- the per-shard
     frame files and ``SuiteFrame.from_cache``'s explicit keys -- so both
-    open paths keep or skip exactly the same entries.  Anything but a
-    current-format summary (``"artifact": 2``) counts as malformed.
+    open paths keep or skip exactly the same entries, and exactly the
+    entries :meth:`ResultCache.get` serves (:func:`is_summary`).
     Returns ``(floats, counts, benchmark, mode, completed,
     trace_columns)``.
     """
-    try:
-        if payload["artifact"] != ARTIFACT_FORMAT:
-            return None
-        columns = list(payload["trace"]["columns"])
-        if not all(isinstance(name, str) for name in columns):
-            return None
-        return (
-            [float(payload[f]) for f in SUMMARY_FLOAT_FIELDS],
-            [int(payload[f]) for f in SUMMARY_COUNT_FIELDS],
-            payload["benchmark"],
-            payload["mode"],
-            bool(payload["completed"]),
-            columns,
-        )
-    except (KeyError, TypeError, ValueError, OverflowError):
+    if not is_summary(payload):
         return None
+    return (
+        [float(payload[f]) for f in SUMMARY_FLOAT_FIELDS],
+        [payload[f] for f in SUMMARY_COUNT_FIELDS],
+        payload["benchmark"],
+        payload["mode"],
+        payload["completed"],
+        payload["trace"]["columns"],
+    )
 
 
 def result_to_payload(result: RunResult) -> dict:
@@ -201,9 +280,13 @@ def result_to_summary(result: RunResult) -> dict:
 
 
 def summary_to_result(payload: dict, trace_data: np.ndarray) -> RunResult:
-    """Rebuild a RunResult from a summary and its trace matrix."""
+    """Rebuild a RunResult from a summary and its trace matrix.
+
+    ``payload`` must pass :func:`is_summary`; the fields are copied
+    as they are.
+    """
     meta = payload["trace"]
-    if trace_data.shape != (int(meta["length"]), len(meta["columns"])):
+    if trace_data.shape != (meta["length"], len(meta["columns"])):
         raise SimulationError(
             "trace blob shape %s does not match summary %s x %d"
             % (trace_data.shape, meta["length"], len(meta["columns"]))
@@ -287,16 +370,25 @@ def load_trace_blob(path: str, mmap: bool = False) -> np.ndarray:
     """
     if path.endswith(DEFLATE_BLOB_SUFFIX):
         with open(path, "rb") as fh:
-            raw = zlib.decompress(fh.read())
-        with np.load(io.BytesIO(raw)) as npz:
-            return npz[TRACE_MEMBER]
+            return trace_from_npz_bytes(zlib.decompress(fh.read()))
     if mmap:
         try:
             return _mmap_npz_member(path, TRACE_MEMBER + ".npy")
-        except (OSError, ValueError, KeyError, SimulationError,
-                zipfile.BadZipFile):
+        except BLOB_ERRORS:
             pass  # fall back to an eager load below
-    with np.load(path) as npz:
+    return _npz_trace(np.load(path))
+
+
+def trace_from_npz_bytes(raw: bytes) -> np.ndarray:
+    """The trace matrix of an in-memory npz blob."""
+    return _npz_trace(np.load(io.BytesIO(raw)))
+
+
+def _npz_trace(loaded: Any) -> np.ndarray:
+    """The trace matrix of what ``np.load`` returned for a blob."""
+    if not isinstance(loaded, np.lib.npyio.NpzFile):
+        raise ValueError("trace blob is not an npz archive")
+    with loaded as npz:
         return npz[TRACE_MEMBER]
 
 
@@ -317,7 +409,7 @@ def store_depth(root: str) -> int:
     """
     try:
         with open(os.path.join(root, LAYOUT_MARKER), "rb") as fh:
-            payload = json.loads(fh.read().decode("utf-8"))
+            payload = loads_json(fh.read())
         depth = int(payload["depth"])
     except (OSError, ValueError, KeyError, TypeError):
         return 1
@@ -502,13 +594,12 @@ class ResultCache:
             return None
         try:
             with open(path, "rb") as fh:
-                payload = json.loads(fh.read().decode("utf-8"))
-            if payload["artifact"] != ARTIFACT_FORMAT:
+                payload = loads_json(fh.read())
+            if not is_summary(payload):
                 return None
             data = self._read_trace(key, mmap=self.mmap)
             result = summary_to_result(payload, data)
-        except (OSError, ValueError, KeyError, TypeError, SimulationError,
-                zipfile.BadZipFile, zlib.error):
+        except BLOB_ERRORS:
             # corrupt/truncated/stale/format-1 entry: treat as a miss, let
             # the writer replace it
             return None
@@ -652,7 +743,7 @@ class ResultCache:
             return None
         try:
             with open(path, "rb") as fh:
-                return json.loads(fh.read().decode("utf-8"))
+                return loads_json(fh.read())
         except (OSError, ValueError):
             return None
 
@@ -911,7 +1002,7 @@ def _shard_rows(root: str, shard: str) -> Iterator[Tuple[str, tuple]]:
         seen.add(key)
         try:
             with open(json_path, "rb") as fh:
-                row = summary_row(json.loads(fh.read().decode("utf-8")))
+                row = summary_row(loads_json(fh.read()))
         except (OSError, ValueError):
             continue  # unreadable debris: the directory walk skips it too
         if row is not None:
@@ -935,7 +1026,7 @@ def _load_shard_frame(root: str, shard: str) -> Optional[dict]:
     """A still-valid persisted columnar frame for one shard, or None."""
     try:
         with open(_frame_path(root, shard), "rb") as fh:
-            frame = json.loads(fh.read().decode("utf-8"))
+            frame = loads_json(fh.read())
     except (OSError, ValueError):
         return None
     if not isinstance(frame, dict) or frame.get("frame") != FRAME_FORMAT:

@@ -1,13 +1,6 @@
 """Closed-loop simulation engine and experiment harness."""
 
-from repro.sim.consumers import (
-    RunningStats,
-    StreamingPower,
-    StreamingStability,
-    TraceConsumer,
-    ViolationCounter,
-    replay,
-)
+from repro.sim.consumers import ViolationCounter
 from repro.sim.engine import BatchSimulator, Simulator, ThermalMode
 from repro.sim.experiment import (
     compare_modes,
@@ -20,10 +13,8 @@ from repro.sim.metrics import (
     overall_summary,
     performance_loss_pct,
     power_savings_pct,
-    settled_variance_streaming,
     summarize_categories,
     variance_reduction_factor,
-    variance_reduction_factor_streaming,
 )
 from repro.sim.models import ModelBundle, build_models, default_models
 from repro.sim.run_result import RunResult, TraceRecorder
@@ -40,12 +31,7 @@ from repro.sim.scenario import BatchScenarioRunner, ScenarioRunner, diurnal
 from repro.sim.scheduler import LoadBalancer, SchedulerOutput
 
 __all__ = [
-    "RunningStats",
-    "StreamingPower",
-    "StreamingStability",
-    "TraceConsumer",
     "ViolationCounter",
-    "replay",
     "BatchSimulator",
     "Simulator",
     "ThermalMode",
@@ -57,10 +43,8 @@ __all__ = [
     "overall_summary",
     "performance_loss_pct",
     "power_savings_pct",
-    "settled_variance_streaming",
     "summarize_categories",
     "variance_reduction_factor",
-    "variance_reduction_factor_streaming",
     "ModelBundle",
     "build_models",
     "default_models",

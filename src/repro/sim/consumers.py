@@ -1,58 +1,30 @@
-"""Streaming trace consumers: observe runs interval-by-interval.
+"""The engine's per-interval counter of controller decisions.
 
-The :class:`Simulator` loop (and :class:`~repro.sim.scenario.ScenarioRunner`
-on its behalf) publishes every recorded interval to a list of
-:class:`TraceConsumer` observers, so monitoring, online metrics and report
-sections can aggregate incrementally instead of materialising whole traces
-after the fact.  The idiom follows mixed-domain co-simulation frameworks
-(observer objects registered with the engine, notified per step).
+Every run statistic is a reduction of the recorded trace columns
+(:mod:`repro.analysis.stats`); this module holds the one exception.
+``BatchSimulator.run`` builds one :class:`ViolationCounter` per lane and
+calls :meth:`ViolationCounter.on_interval` with each interval's row, the
+mapping it also unpacks into ``TraceRecorder.append``, so
+``RunResult.interventions`` and ``RunResult.violations_predicted`` equal
+the sums of the recorded ``intervened`` and ``violation_predicted``
+columns.
 
-Consumers see exactly what the trace records: a mapping from
-``RUN_COLUMNS`` names to the interval's values.  :func:`replay` feeds an
-already-recorded :class:`RunResult` through consumers, which is how cached
-results and freshly simulated ones share one aggregation code path.
+The counter stays a separate call, rather than a sum over those columns
+in ``_Lane.finish``, because the benchmark's tracer wraps
+``ViolationCounter.on_interval`` by name as part of its ``sim.record``
+boundary; counting from the columns has to wait for a benchmark change
+that drops that boundary.
 """
 
 from __future__ import annotations
 
-import math
-import queue
-import threading
-from typing import Dict, Iterable, Mapping, Optional, Sequence
-
-from repro.errors import SimulationError
-from repro.sim.run_result import RunResult
+from typing import Mapping
 
 
-class TraceConsumer:
-    """Base observer: subclass and override the hooks you need.
-
-    ``on_interval`` receives one mapping per control interval, keyed by the
-    recorder's column names (:data:`~repro.sim.run_result.RUN_COLUMNS` for
-    engine runs).  The mapping is shared with the recorder's append call --
-    treat it as read-only and do not hold a reference across intervals.
-    """
-
-    def on_run_start(
-        self, benchmark: str, mode: str, columns: Sequence[str]
-    ) -> None:
-        """Called once before the first interval of a run."""
-
-    def on_interval(self, values: Mapping[str, float]) -> None:
-        """Called after every recorded control interval."""
-
-    def on_run_end(self, result: RunResult) -> None:
-        """Called once with the finished run's result."""
-
-
-class ViolationCounter(TraceConsumer):
+class ViolationCounter:
     """Counts predicted violations and controller interventions."""
 
     def __init__(self) -> None:
-        self.violations = 0
-        self.interventions = 0
-
-    def on_run_start(self, benchmark, mode, columns) -> None:
         self.violations = 0
         self.interventions = 0
 
@@ -61,296 +33,3 @@ class ViolationCounter(TraceConsumer):
             self.violations += 1
         if values["intervened"] > 0.5:
             self.interventions += 1
-
-
-class RunningStats:
-    """Incremental count/mean/variance/min/max (Welford's algorithm).
-
-    ``variance`` is the population variance, matching ``np.var`` over the
-    same samples.
-    """
-
-    __slots__ = ("count", "mean", "_m2", "min", "max")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def push(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (x - self.mean)
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
-
-    @property
-    def variance(self) -> float:
-        if self.count == 0:
-            raise SimulationError("no samples pushed")
-        return self._m2 / self.count
-
-    @property
-    def band(self) -> float:
-        """max - min of the pushed samples."""
-        if self.count == 0:
-            raise SimulationError("no samples pushed")
-        return self.max - self.min
-
-
-class StreamingStability(TraceConsumer):
-    """Online regulation-quality statistics of ``max_temp_c``.
-
-    Tracks the all-run peak plus settled-region statistics: every sample
-    with ``time_s >= first_time + skip_s`` feeds a :class:`RunningStats`,
-    which reproduces the post-hoc ``RunResult.temp_*`` metrics --
-    including ``RunResult.settle_slice``'s short-trace clamp, so traces
-    shorter than the skip window aggregate identically live, replayed and
-    post hoc -- without ever materialising the trace.  The clamp widens
-    the settled region to at least the trace's last two samples; a
-    two-sample ring buffer of the most recent temperatures covers that
-    case, so nothing beyond O(1) state is kept.
-
-    With ``constraint_c`` set it also accumulates the exceedance numbers
-    of :func:`repro.analysis.stats.regulation_quality`.
-    """
-
-    def __init__(
-        self, skip_s: float = 15.0, constraint_c: Optional[float] = None
-    ) -> None:
-        if skip_s < 0:
-            raise SimulationError("skip_s must be >= 0")
-        self.skip_s = skip_s
-        self.constraint_c = constraint_c
-        self._t0: Optional[float] = None
-        self.peak_c = -math.inf
-        self.settled = RunningStats()
-        self.exceedance = RunningStats()
-        self._over_count = 0
-        self._over_1c_count = 0
-        self._tail: list = []
-
-    def on_run_start(self, benchmark, mode, columns) -> None:
-        self._t0 = None
-        self.peak_c = -math.inf
-        self.settled.reset()
-        self.exceedance.reset()
-        self._over_count = 0
-        self._over_1c_count = 0
-        self._tail = []
-
-    def on_interval(self, values: Mapping[str, float]) -> None:
-        t = values["time_s"]
-        temp = values["max_temp_c"]
-        if self._t0 is None:
-            self._t0 = t
-        if temp > self.peak_c:
-            self.peak_c = temp
-        self._tail.append(temp)
-        if len(self._tail) > 2:
-            del self._tail[0]
-        if t >= self._t0 + self.skip_s:
-            self.settled.push(temp)
-            if self.constraint_c is not None:
-                over = max(0.0, temp - self.constraint_c)
-                self.exceedance.push(over)
-                self._over_count += over > 0
-                self._over_1c_count += over > 1.0
-
-    # -- post-hoc-equivalent accessors ---------------------------------
-    def _clamped(self) -> "RunningStats":
-        """Settled-region temperatures with the short-trace clamp applied.
-
-        ``settle_slice`` starts at ``min(first settled index, len - 2)``:
-        with two or more settled samples the clamp is inert and the
-        accumulated stats are exact; with fewer, the region is the last
-        ``min(2, len)`` samples, rebuilt from the ring buffer.
-        """
-        if self.settled.count >= 2:
-            return self.settled
-        stats = RunningStats()
-        for temp in self._tail:
-            stats.push(temp)
-        return stats
-
-    @property
-    def settled_samples(self) -> int:
-        """Size of the clamped settled region (what the accessors cover)."""
-        return self._clamped().count
-
-    @property
-    def average_temp_c(self) -> float:
-        return self._clamped().mean
-
-    @property
-    def max_min_c(self) -> float:
-        return self._clamped().band
-
-    @property
-    def variance_c2(self) -> float:
-        return self._clamped().variance
-
-    def regulation_quality(self) -> Dict[str, float]:
-        """Constraint-exceedance summary over the (clamped) settled region."""
-        if self.constraint_c is None:
-            raise SimulationError("constructed without a constraint_c")
-        if self.settled.count >= 2:
-            stats = self.exceedance
-            over_count, over_1c = self._over_count, self._over_1c_count
-        else:
-            stats = RunningStats()
-            over_count = over_1c = 0
-            for temp in self._tail:
-                over = max(0.0, temp - self.constraint_c)
-                stats.push(over)
-                over_count += over > 0
-                over_1c += over > 1.0
-        if stats.count == 0:
-            raise SimulationError("no settled samples observed")
-        return {
-            "peak_exceedance_c": stats.max,
-            "mean_exceedance_c": stats.mean,
-            "fraction_over": over_count / stats.count,
-            "fraction_over_1c": over_1c / stats.count,
-        }
-
-
-class StreamingPower(TraceConsumer):
-    """Online mean platform power and per-rail means over the trace."""
-
-    RAILS = ("platform_power_w", "p_big_w", "p_little_w", "p_gpu_w", "p_mem_w")
-
-    def __init__(self) -> None:
-        self.rails = {r: RunningStats() for r in self.RAILS}
-
-    def on_run_start(self, benchmark, mode, columns) -> None:
-        for stats in self.rails.values():
-            stats.reset()
-
-    def on_interval(self, values: Mapping[str, float]) -> None:
-        for rail, stats in self.rails.items():
-            stats.push(values[rail])
-
-    def mean_w(self, rail: str = "platform_power_w") -> float:
-        return self.rails[rail].mean
-
-
-class AsyncConsumerPump(TraceConsumer):
-    """Drain downstream consumers on a worker thread.
-
-    Wrap slow streaming observers (live plots, sockets, disk appenders)
-    in a pump so they never stall the fused control loop: the engine's
-    hooks enqueue onto a bounded queue and return immediately, a single
-    daemon worker drains it in publish order.  Because the engine reuses
-    its per-interval mapping, each interval is snapshotted into a fresh
-    ``dict`` before crossing threads -- the downstream consumers keep the
-    usual contract (read-only view, valid for the duration of the call).
-
-    ``on_run_end`` joins the queue before forwarding, so by the time the
-    engine's publish loop returns, the wrapped consumers have observed
-    every interval: streaming aggregates equal a post-hoc :func:`replay`
-    of the same run (the flush-on-finish contract,
-    ``tests/test_consumers.py``).  A crashed downstream consumer parks
-    the error and re-raises it on the publishing thread at the next
-    hook, so failures surface in the run that caused them instead of
-    dying silently on the worker.
-
-    The pump is reusable across sequential runs but not concurrent ones
-    (one queue, one ordering), matching how the engine publishes.
-    """
-
-    def __init__(
-        self, consumers: Iterable[TraceConsumer], maxsize: int = 1024
-    ) -> None:
-        if maxsize <= 0:
-            raise SimulationError("queue bound must be positive")
-        self.consumers = list(consumers)
-        self._queue: "queue.Queue" = queue.Queue(maxsize=maxsize)
-        self._error_lock = threading.Lock()
-        self._error: Optional[BaseException] = None  # guarded-by: _error_lock
-        self._worker = threading.Thread(
-            target=self._drain, name="consumer-pump", daemon=True
-        )
-        self._worker.start()
-
-    # -- worker side ----------------------------------------------------
-    def _drain(self) -> None:
-        while True:
-            hook, args = self._queue.get()
-            try:
-                if self._take_error(peek=True) is None:
-                    for consumer in self.consumers:
-                        getattr(consumer, hook)(*args)
-            except BaseException as exc:  # noqa: BLE001 - parked for the caller
-                with self._error_lock:
-                    self._error = exc
-            finally:
-                self._queue.task_done()
-
-    def _take_error(self, peek: bool = False) -> Optional[BaseException]:
-        """Pop (or just read) the parked downstream error, atomically."""
-        with self._error_lock:
-            error = self._error
-            if not peek:
-                self._error = None
-            return error
-
-    def _publish(self, hook: str, *args) -> None:
-        error = self._take_error()
-        if error is not None:
-            raise error
-        self._queue.put((hook, args))
-
-    # -- engine side ----------------------------------------------------
-    def on_run_start(self, benchmark, mode, columns) -> None:
-        self._publish("on_run_start", benchmark, mode, tuple(columns))
-
-    def on_interval(self, values: Mapping[str, float]) -> None:
-        # snapshot: the engine reuses the mapping it publishes
-        self._publish("on_interval", dict(values))
-
-    def on_run_end(self, result: RunResult) -> None:
-        self._publish("on_run_end", result)
-        self.flush()
-
-    def flush(self) -> None:
-        """Block until every queued interval has been consumed."""
-        self._queue.join()
-        error = self._take_error()
-        if error is not None:
-            raise error
-
-
-def replay(result: RunResult, consumers: Iterable[TraceConsumer]) -> None:
-    """Feed an already-recorded run through consumers.
-
-    Bridges cached/deserialised results into the streaming code path: the
-    consumers observe exactly the sequence of intervals a live simulation
-    would have published -- plain Python ``float`` values, like the
-    engine's per-interval mappings, never NumPy scalars -- followed by
-    ``on_run_end(result)``.  The whole columnar trace converts in one
-    C-level call and the per-interval mapping is reused (consumers must
-    not hold it across intervals, same contract as a live run), so a
-    replay does no per-row dict or scalar-boxing churn.
-    """
-    consumers = list(consumers)
-    trace = result.trace
-    columns = trace.columns
-    for consumer in consumers:
-        consumer.on_run_start(result.benchmark, result.mode, columns)
-    if consumers:
-        values: Dict[str, float] = {}
-        for row in trace.array().tolist():
-            values.update(zip(columns, row))
-            for consumer in consumers:
-                consumer.on_interval(values)
-    for consumer in consumers:
-        consumer.on_run_end(result)

@@ -40,7 +40,7 @@ from repro.platform.specs import (
     Resource,
 )
 from repro.platform.state import BatchPlant
-from repro.sim.consumers import TraceConsumer, ViolationCounter
+from repro.sim.consumers import ViolationCounter
 from repro.sim.run_result import RUN_COLUMNS, RunResult, TraceRecorder
 from repro.sim.scheduler import LoadBalancer
 from repro.units import KELVIN_OFFSET
@@ -72,7 +72,6 @@ class Simulator:
         warm_start_c: Optional[float] = 52.0,
         max_duration_s: float = 900.0,
         seed: Optional[int] = None,
-        consumers: Optional[Sequence[TraceConsumer]] = None,
     ) -> None:
         self.workload = workload
         self.mode = mode
@@ -85,8 +84,6 @@ class Simulator:
         self.dtpm = dtpm
         self.warm_start_c = warm_start_c
         self.max_duration_s = max_duration_s
-        #: Streaming observers notified per interval (see repro.sim.consumers).
-        self.consumers = list(consumers or ())
 
         self.board = OdroidBoard(
             self.spec,
@@ -214,7 +211,6 @@ class _Lane:
         "progress",
         "recorder",
         "counters",
-        "observers",
         "current",
         "pending_freeze_s",
         "migrations",
@@ -225,10 +221,7 @@ class _Lane:
         self.sim = sim
         self.progress = WorkloadProgress(sim.workload)
         self.recorder = TraceRecorder(RUN_COLUMNS)
-        # violation/intervention counting is a streaming consumer like any
-        # other observer of the recorded trace
         self.counters = ViolationCounter()
-        self.observers = [self.counters] + sim.consumers
         self.current = PlatformConfig(
             cluster=Resource.BIG,
             big_freq_hz=sim.spec.big_opp.f_min_hz,
@@ -250,9 +243,9 @@ class _Lane:
         )
 
     def finish(self) -> RunResult:
-        """Build the lane's result and notify its consumers."""
+        """Build the lane's result."""
         sim = self.sim
-        result = RunResult(
+        return RunResult(
             benchmark=sim.workload.name,
             mode=sim.mode.value,
             completed=self.progress.done,
@@ -265,9 +258,6 @@ class _Lane:
             cluster_migrations=self.migrations,
             cores_offlined=self.offlined,
         )
-        for consumer in sim.consumers:
-            consumer.on_run_end(result)
-        return result
 
 
 class BatchSimulator:
@@ -327,10 +317,6 @@ class BatchSimulator:
                 sim.dtpm.reset()
             lane = _Lane(sim)
             sim._apply(lane.current, lane.current, None)
-            for consumer in lane.observers:
-                consumer.on_run_start(
-                    sim.workload.name, sim.mode.value, RUN_COLUMNS
-                )
             lanes.append(lane)
 
         results: List[Optional[RunResult]] = [None] * len(lanes)
@@ -458,9 +444,8 @@ class BatchSimulator:
                 lane.migrations += int(migrated)
                 lane.offlined += cores_changed
 
-                # published values are plain Python floats: consumers see
-                # the same types live, replayed from a cache artifact, or
-                # recorded (the recorder's buffer is float64 regardless)
+                # the lane-interval's row: the recorder stores it and the
+                # counter tallies its two controller-decision flags
                 max_c, true_max_c, t0, t1, t2, t3, p0, p1, p2, p3 = sensed[pos]
                 interval = dict(
                     time_s=sim.board.time_s,
@@ -487,8 +472,7 @@ class BatchSimulator:
                     intervened=float(bool(outcome and outcome.intervened)),
                 )
                 lane.recorder.append(**interval)
-                for consumer in lane.observers:
-                    consumer.on_interval(interval)
+                lane.counters.on_interval(interval)
                 lane.current = final
 
                 if lane.active:

@@ -8,7 +8,6 @@ from typing import Dict, Iterable, List
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.sim.consumers import StreamingStability, replay
 from repro.sim.run_result import RunResult
 
 
@@ -70,25 +69,6 @@ def variance_reduction_factor(
     if cand <= 0:
         return float("inf")
     return baseline.temp_variance(skip_s) / cand
-
-
-def settled_variance_streaming(result: RunResult, skip_s: float = 15.0) -> float:
-    """Settled temperature variance via the online consumer (one trace pass)."""
-    consumer = StreamingStability(skip_s=skip_s)
-    replay(result, [consumer])
-    if consumer.settled_samples == 0:
-        raise SimulationError("run trace too short for stability metrics")
-    return consumer.variance_c2
-
-
-def variance_reduction_factor_streaming(
-    baseline: RunResult, candidate: RunResult, skip_s: float = 15.0
-) -> float:
-    """:func:`variance_reduction_factor` computed incrementally."""
-    cand = settled_variance_streaming(candidate, skip_s)
-    if cand <= 0:
-        return float("inf")
-    return settled_variance_streaming(baseline, skip_s) / cand
 
 
 @dataclass(frozen=True)

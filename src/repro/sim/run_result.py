@@ -14,8 +14,7 @@ def settle_start(times: np.ndarray, skip_s: float) -> int:
     """First index of the settled region of a trace's time axis.
 
     The one copy of the settle-window arithmetic shared by
-    :meth:`RunResult.settle_slice`, the streaming consumers' clamp
-    documentation and the suite-scale batch reductions
+    :meth:`RunResult.settle_slice` and the suite-scale batch reductions
     (:mod:`repro.analysis.stats`), so every metrics path skips an
     identical warm-up region: samples before ``times[0] + skip_s`` are
     excluded, but the region is widened to at least the trace's last two

@@ -28,7 +28,6 @@ from repro.core.dtpm import DtpmGovernor
 from repro.errors import ConfigurationError
 from repro.platform.specs import PlatformSpec
 from repro.platform.state import BatchPlant
-from repro.sim.consumers import TraceConsumer
 from repro.sim.engine import BatchSimulator, Simulator, ThermalMode
 from repro.sim.run_result import RunResult
 from repro.workloads.benchmarks import get_benchmark
@@ -51,8 +50,7 @@ class ScenarioRunner:
     schedules content-addressable through :mod:`repro.runner`.
     ``annotate=False`` suppresses the ``"scenario position i"`` result
     notes so a position's result is byte-identical however it was reached
-    (the cache relies on this).  Streaming ``consumers`` are forwarded to
-    every :class:`Simulator` in the sequence.
+    (the cache relies on this).
 
     ``mode`` is the default thermal configuration of every position;
     :meth:`run` accepts per-position ``modes`` for mixed schedules (e.g.
@@ -70,7 +68,6 @@ class ScenarioRunner:
         max_duration_s: float = 900.0,
         base_seed: Optional[int] = None,
         annotate: bool = True,
-        consumers: Optional[Sequence[TraceConsumer]] = None,
     ) -> None:
         if mode is ThermalMode.DTPM and dtpm is None:
             raise ConfigurationError("DTPM scenarios need a DtpmGovernor")
@@ -85,7 +82,6 @@ class ScenarioRunner:
         self.max_duration_s = max_duration_s
         self.base_seed = base_seed
         self.annotate = annotate
-        self.consumers = list(consumers or ())
         self._carry_temps_k = None
 
     # ------------------------------------------------------------------
@@ -129,11 +125,6 @@ class BatchScenarioRunner:
     contract); modes, workloads, seeds, idle gaps and chain lengths are
     free to vary per lane.  Within that contract a batch of ``N``
     schedules is byte-identical to ``N`` serial schedules.
-
-    Note that a :class:`~repro.sim.consumers.TraceConsumer` shared by
-    several lanes observes their intervals interleaved (serial execution
-    would play whole chains back to back); per-lane consumers see exactly
-    the serial stream.
     """
 
     def __init__(self, runners: Sequence[ScenarioRunner]) -> None:
@@ -221,7 +212,6 @@ class BatchScenarioRunner:
                     warm_start_c=None if carrying else runner.initial_temp_c,
                     max_duration_s=runner.max_duration_s,
                     seed=seed0 + pos,
-                    consumers=runner.consumers,
                 )
                 if carrying:
                     sim.board.network.set_temperatures_k(

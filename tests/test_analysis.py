@@ -27,8 +27,11 @@ from repro.analysis.tables import (
 )
 from repro.errors import SimulationError
 from repro.platform.specs import BIG_FREQUENCIES_HZ, FAN_POWER_W
+from repro.sim.engine import Simulator, ThermalMode
+from repro.sim.metrics import variance_reduction_factor
 from repro.sim.run_result import RUN_COLUMNS, RunResult, TraceRecorder
 from repro.workloads.benchmarks import table_6_4_rows
+from repro.workloads.generator import synthesize
 
 
 def _result(temps=None, freqs=None, fans=None):
@@ -110,6 +113,39 @@ def test_regulation_batch_pins_scalar_as_b1_view():
     scalar = regulation_quality(res, 63.0, skip_s=0.5)
     for field, values in batch.items():
         assert values[0] == scalar[field]
+
+
+def test_short_trace_clamp_matches_posthoc():
+    """Skip windows near a trace's end: ``settle_start`` widens the
+    settled region to at least the last two samples, and the batch
+    reductions settle on the same region as the ``RunResult`` helpers."""
+    short = Simulator(
+        synthesize("high", 20.0, threads=4, seed=11),
+        ThermalMode.NO_FAN,
+        max_duration_s=5.0,
+    ).run()
+    t = short.times_s()
+    span = t[-1] - t[0]
+    boundary_skips = [
+        span + 1.0,  # trace entirely inside the skip window: 0 settled
+        (t[-2] - t[0] + span) / 2.0,  # exactly 1 settled sample
+        span - 0.5,  # a few settled samples, clamp inert
+    ]
+    for skip in boundary_skips:
+        stats = stability_stats(short, skip_s=skip)
+        assert stats.average_temp_c == short.average_temp_c(skip), skip
+        assert stats.max_min_c == short.temp_max_min_c(skip), skip
+        assert stats.variance_c2 == short.temp_variance(skip), skip
+        settled = short.max_temps_c()[short.settle_slice(skip)]
+        assert settled.size >= 2, skip
+        quality = regulation_quality(short, 50.0, skip_s=skip)
+        assert quality["peak_exceedance_c"] == max(
+            0.0, float(np.max(settled)) - 50.0
+        ), skip
+    # the variance-reduction metric does not reject short traces either
+    skip = span + 1.0
+    expected = 1.0 if short.temp_variance(skip) > 0 else float("inf")
+    assert variance_reduction_factor(short, short, skip_s=skip) == expected
 
 
 def test_frequency_residency_batch_unions_keys():

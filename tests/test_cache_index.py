@@ -22,6 +22,7 @@ from repro.analysis.suite import COUNT_FIELDS, FLOAT_FIELDS, SuiteFrame
 from repro.runner import (
     ResultCache,
     payload_bytes,
+    result_bytes,
     result_to_payload,
     result_to_summary,
 )
@@ -220,7 +221,8 @@ def test_previous_index_files_open_with_identical_rows(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 # property: any mix of valid, malformed and format-1 summaries
 # ---------------------------------------------------------------------------
-#: Ways a summary file can be malformed, each breaking one extraction rule.
+#: Ways a summary file can be malformed, each breaking one rule of
+#: ``is_summary``.
 _BREAKS = (
     lambda s: {k: v for k, v in s.items() if k != "energy_j"},
     lambda s: dict(s, interventions="many"),
@@ -230,9 +232,13 @@ _BREAKS = (
     lambda s: dict(s, trace={"columns": [["time_s"]], "length": 0}),
     lambda s: dict(s, artifact=3),
     lambda s: [s],
+    lambda s: dict(s, completed="no"),
+    lambda s: dict(s, benchmark=5),
+    lambda s: dict(s, notes="xyz"),
+    lambda s: dict(s, interventions=2**63),  # overflows the int64 column
 )
 
-_KINDS = ["valid", "format1", "truncated"] + [
+_KINDS = ["valid", "format1", "truncated", "deep"] + [
     "break%d" % i for i in range(len(_BREAKS))
 ]
 
@@ -253,6 +259,8 @@ def _summary_file(kind, result):
     summary = payload_bytes(result_to_summary(result))
     if kind == "truncated":
         return summary[:-7]
+    if kind == "deep":  # nested past the JSON decoder's recursion limit
+        return b"[" * 200_000
     broken = _BREAKS[int(kind[len("break"):])](json.loads(summary))
     return json.dumps(broken).encode("utf-8")
 
@@ -260,9 +268,15 @@ def _summary_file(kind, result):
 @settings(max_examples=40, deadline=None)
 @given(entries=st.lists(_ENTRY, max_size=10), fanout=st.sampled_from([1, 2]))
 def test_open_dir_equals_explicit_valid_keys(entries, fanout):
+    """``open_dir`` rows and ``get`` hits are the same set of entries.
+
+    Every entry gets its trace blob, so a malformed summary is all that
+    stands between it and a hit.
+    """
     with tempfile.TemporaryDirectory() as root:
         cache = ResultCache(root=root, memory=False, fanout=fanout)
-        valid = []
+        valid = {}
+        broken = []
         for i, (shard, kind, energy, count, done, cols, rows) in enumerate(
             entries
         ):
@@ -273,16 +287,20 @@ def test_open_dir_equals_explicit_valid_keys(entries, fanout):
                 violations_predicted=count,
                 completed=done,
             )
+            cache.put(key, result)
             if kind == "valid":
-                cache.put(key, result)
-                valid.append(key)
+                valid[key] = result
                 continue
+            broken.append(key)
             path = os.path.join(
                 cache_mod._entry_dir(root, key, fanout), key + ".json"
             )
-            os.makedirs(os.path.dirname(path), exist_ok=True)
             with open(path, "wb") as fh:
                 fh.write(_summary_file(kind, result))
         expected = SuiteFrame.from_cache(cache, keys=sorted(valid))
         for _ in range(2):  # cold and warm index
             assert_same_frame(SuiteFrame.open_dir(root), expected)
+        for key in broken:
+            assert cache.get(key) is None, key
+        for key, result in valid.items():
+            assert result_bytes(cache.get(key)) == result_bytes(result)

@@ -1,366 +1,30 @@
-"""Streaming trace consumers: live vs replay vs post-hoc equivalence."""
+"""The engine's per-interval ViolationCounter against the recorded trace."""
 
-import numpy as np
-import pytest
-
-from repro.errors import SimulationError
-from repro.analysis.stats import (
-    regulation_quality,
-    stability_stats,
-    stability_stats_streaming,
-    streaming_stability,
-)
-from repro.sim.consumers import (
-    AsyncConsumerPump,
-    RunningStats,
-    StreamingPower,
-    StreamingStability,
-    TraceConsumer,
-    ViolationCounter,
-    replay,
-)
+from repro.sim.consumers import ViolationCounter
 from repro.sim.engine import Simulator, ThermalMode
-from repro.sim.metrics import (
-    variance_reduction_factor,
-    variance_reduction_factor_streaming,
-)
-from repro.sim.scenario import ScenarioRunner
 from repro.workloads.generator import synthesize
 
 
-@pytest.fixture(scope="module")
-def workload():
-    return synthesize("high", 20.0, threads=4, seed=11)
-
-
-class Recording(TraceConsumer):
-    """Test double that logs every hook invocation."""
-
-    def __init__(self):
-        self.starts = []
-        self.intervals = 0
-        self.ends = []
-
-    def on_run_start(self, benchmark, mode, columns):
-        self.starts.append((benchmark, mode, tuple(columns)))
-
-    def on_interval(self, values):
-        self.intervals += 1
-
-    def on_run_end(self, result):
-        self.ends.append(result)
-
-
-# ---------------------------------------------------------------------------
-# RunningStats
-# ---------------------------------------------------------------------------
-def test_running_stats_matches_numpy(rng):
-    samples = rng.normal(55.0, 3.0, size=500)
-    stats = RunningStats()
-    for x in samples:
-        stats.push(float(x))
-    assert stats.count == 500
-    assert stats.mean == pytest.approx(np.mean(samples), rel=1e-12)
-    assert stats.variance == pytest.approx(np.var(samples), rel=1e-9)
-    assert stats.min == np.min(samples) and stats.max == np.max(samples)
-    assert stats.band == pytest.approx(np.ptp(samples))
-
-
-def test_running_stats_empty_raises():
-    stats = RunningStats()
-    with pytest.raises(SimulationError):
-        stats.variance
-    with pytest.raises(SimulationError):
-        stats.band
-
-
-# ---------------------------------------------------------------------------
-# live publication from the engine
-# ---------------------------------------------------------------------------
-def test_simulator_publishes_every_interval(workload):
-    probe = Recording()
-    result = Simulator(
-        workload, ThermalMode.NO_FAN, max_duration_s=120.0, consumers=[probe]
-    ).run()
-    assert probe.starts == [(workload.name, "without_fan", tuple(result.trace.columns))]
-    assert probe.intervals == len(result.trace)
-    assert probe.ends == [result]
-
-
-def test_violation_counter_matches_result_fields(workload, models):
+def test_violation_counter_matches_result_fields(models):
     from repro.sim.experiment import make_dtpm_governor
 
-    counter = ViolationCounter()
+    workload = synthesize("high", 20.0, threads=4, seed=11)
     result = Simulator(
         workload,
         ThermalMode.DTPM,
         dtpm=make_dtpm_governor(models),
         warm_start_c=58.0,
         max_duration_s=120.0,
-        consumers=[counter],
     ).run()
     assert result.interventions > 0  # warm start near the constraint
+
+    # A fresh counter fed the recorded rows, as the engine feeds its own
+    # counter each interval, reproduces the result's counts.
+    trace = result.trace
+    columns = {name: trace.column(name) for name in trace.columns}
+    counter = ViolationCounter()
+    for i in range(len(trace)):
+        counter.on_interval({name: col[i] for name, col in columns.items()})
     assert counter.interventions == result.interventions
     assert counter.violations == result.violations_predicted
-    assert counter.interventions == int(result.trace.column("intervened").sum())
-
-
-def test_scenario_runner_forwards_consumers(workload):
-    probe = Recording()
-    runner = ScenarioRunner(
-        ThermalMode.NO_FAN, initial_temp_c=30.0, consumers=[probe]
-    )
-    results = runner.run([workload, workload])
-    assert len(probe.starts) == 2
-    assert probe.intervals == sum(len(r.trace) for r in results)
-    assert probe.ends == results
-
-
-# ---------------------------------------------------------------------------
-# streaming == post-hoc
-# ---------------------------------------------------------------------------
-def test_streaming_stability_matches_posthoc(workload):
-    live = StreamingStability(skip_s=15.0)
-    result = Simulator(
-        workload, ThermalMode.NO_FAN, max_duration_s=120.0, consumers=[live]
-    ).run()
-    assert live.peak_c == result.peak_temp_c()
-    assert live.average_temp_c == pytest.approx(
-        result.average_temp_c(15.0), rel=1e-12
-    )
-    assert live.max_min_c == pytest.approx(result.temp_max_min_c(15.0))
-    assert live.variance_c2 == pytest.approx(
-        result.temp_variance(15.0), rel=1e-9
-    )
-
-
-def test_replay_equals_live(workload):
-    live = StreamingStability(skip_s=10.0)
-    result = Simulator(
-        workload, ThermalMode.NO_FAN, max_duration_s=120.0, consumers=[live]
-    ).run()
-    replayed = StreamingStability(skip_s=10.0)
-    replay(result, [replayed])
-    assert replayed.peak_c == live.peak_c
-    assert replayed.settled.count == live.settled.count
-    assert replayed.average_temp_c == pytest.approx(live.average_temp_c, rel=1e-12)
-    assert replayed.variance_c2 == pytest.approx(live.variance_c2, rel=1e-12)
-
-
-def test_stability_stats_streaming_equals_posthoc(workload):
-    result = Simulator(workload, ThermalMode.NO_FAN, max_duration_s=120.0).run()
-    post = stability_stats(result, skip_s=20.0)
-    stream = stability_stats_streaming(result, skip_s=20.0)
-    assert stream.mode == post.mode
-    assert stream.peak_c == post.peak_c
-    assert stream.average_temp_c == pytest.approx(post.average_temp_c, rel=1e-12)
-    assert stream.max_min_c == pytest.approx(post.max_min_c)
-    assert stream.variance_c2 == pytest.approx(post.variance_c2, rel=1e-9)
-
-
-def test_streaming_regulation_quality_matches_posthoc(workload):
-    result = Simulator(workload, ThermalMode.NO_FAN, max_duration_s=120.0).run()
-    consumer = streaming_stability(result, skip_s=20.0, constraint_c=63.0)
-    post = regulation_quality(result, 63.0, skip_s=20.0)
-    stream = consumer.regulation_quality()
-    for key, value in post.items():
-        assert stream[key] == pytest.approx(value, rel=1e-9), key
-
-
-def test_variance_reduction_streaming_matches(workload, models):
-    from repro.sim.experiment import make_dtpm_governor
-
-    base = Simulator(workload, ThermalMode.NO_FAN, max_duration_s=100.0).run()
-    dtpm = Simulator(
-        workload,
-        ThermalMode.DTPM,
-        dtpm=make_dtpm_governor(models),
-        max_duration_s=100.0,
-    ).run()
-    assert variance_reduction_factor_streaming(
-        base, dtpm, skip_s=15.0
-    ) == pytest.approx(variance_reduction_factor(base, dtpm, skip_s=15.0), rel=1e-9)
-
-
-class TypeProbe(TraceConsumer):
-    """Records the value types every interval publishes."""
-
-    def __init__(self):
-        self.rows = 0
-        self.non_float = set()
-
-    def on_interval(self, values):
-        self.rows += 1
-        for name, value in values.items():
-            if type(value) is not float:
-                self.non_float.add((name, type(value).__name__))
-
-
-def test_live_and_replay_publish_plain_floats(workload):
-    """Consumers see ``float`` values identically live and on replay."""
-    live = TypeProbe()
-    result = Simulator(
-        workload, ThermalMode.NO_FAN, max_duration_s=60.0, consumers=[live]
-    ).run()
-    assert live.non_float == set()
-
-    replayed = TypeProbe()
-    replay(result, [replayed])
-    assert replayed.non_float == set()
-    assert replayed.rows == live.rows == len(result.trace)
-
-
-def test_cached_replay_aggregates_equal_live(tmp_path, workload):
-    """A cache round trip changes neither consumer types nor aggregates."""
-    from repro.runner import ResultCache, RunSpec, spec_key
-
-    live = StreamingStability(skip_s=10.0, constraint_c=55.0)
-    power = StreamingPower()
-    result = Simulator(
-        workload,
-        ThermalMode.NO_FAN,
-        max_duration_s=60.0,
-        consumers=[live, power],
-    ).run()
-    cache = ResultCache(root=str(tmp_path), memory=False)
-    key = spec_key(RunSpec(workload=workload, mode=ThermalMode.NO_FAN))
-    cache.put(key, result)
-    cached = cache.get(key)
-
-    probe = TypeProbe()
-    re_stab = StreamingStability(skip_s=10.0, constraint_c=55.0)
-    re_power = StreamingPower()
-    replay(cached, [probe, re_stab, re_power])
-    assert probe.non_float == set()
-    assert re_stab.peak_c == live.peak_c
-    assert re_stab.average_temp_c == live.average_temp_c
-    assert re_stab.variance_c2 == live.variance_c2
-    assert re_stab.regulation_quality() == live.regulation_quality()
-    for rail in StreamingPower.RAILS:
-        assert re_power.mean_w(rail) == power.mean_w(rail)
-
-
-def test_short_trace_clamp_matches_posthoc(workload):
-    """Streaming == post-hoc on traces shorter than the skip window."""
-    short = Simulator(workload, ThermalMode.NO_FAN, max_duration_s=5.0).run()
-    t = short.times_s()
-    span = t[-1] - t[0]
-    boundary_skips = [
-        span + 1.0,  # trace entirely inside the skip window: 0 settled
-        (t[-2] - t[0] + span) / 2.0,  # exactly 1 settled sample
-        span - 0.5,  # a few settled samples, clamp inert
-    ]
-    for skip in boundary_skips:
-        live = StreamingStability(skip_s=skip, constraint_c=50.0)
-        replay(short, [live])
-        assert live.average_temp_c == short.average_temp_c(skip), skip
-        assert live.max_min_c == short.temp_max_min_c(skip), skip
-        assert live.variance_c2 == pytest.approx(
-            short.temp_variance(skip), rel=1e-12, abs=1e-12
-        ), skip
-        post = regulation_quality(short, 50.0, skip_s=skip)
-        stream = live.regulation_quality()
-        for key, value in post.items():
-            assert stream[key] == pytest.approx(value, rel=1e-12), (skip, key)
-        # the clamped region is never empty on a non-empty trace
-        assert live.settled_samples >= 1
-    # stability_stats_streaming no longer rejects short traces post-clamp
-    stats = stability_stats_streaming(short, skip_s=span + 1.0)
-    assert stats.average_temp_c == short.average_temp_c(span + 1.0)
-    # ...and neither does the variance-reduction metric
-    assert variance_reduction_factor_streaming(
-        short, short, skip_s=span + 1.0
-    ) == pytest.approx(
-        variance_reduction_factor(short, short, skip_s=span + 1.0)
-    )
-
-
-def test_streaming_power_mean_matches_trace(workload):
-    power = StreamingPower()
-    result = Simulator(
-        workload, ThermalMode.NO_FAN, max_duration_s=80.0, consumers=[power]
-    ).run()
-    for rail in StreamingPower.RAILS:
-        assert power.mean_w(rail) == pytest.approx(
-            float(np.mean(result.trace.column(rail))), rel=1e-12
-        )
-
-
-# ---------------------------------------------------------------------------
-# async pump: off-thread draining with flush-on-finish
-# ---------------------------------------------------------------------------
-def test_async_pump_streaming_equals_direct(workload):
-    """Pumped consumers see the complete run by the time ``run()``
-    returns (flush-on-finish), and aggregate identically to direct
-    attachment."""
-    direct = StreamingStability(skip_s=10.0)
-    result = Simulator(
-        workload, ThermalMode.NO_FAN, max_duration_s=120.0, consumers=[direct]
-    ).run()
-
-    pumped = StreamingStability(skip_s=10.0)
-    probe = Recording()
-    pump = AsyncConsumerPump([pumped, probe])
-    pump_result = Simulator(
-        workload, ThermalMode.NO_FAN, max_duration_s=120.0, consumers=[pump]
-    ).run()
-    assert probe.intervals == len(pump_result.trace)
-    assert probe.ends == [pump_result]
-    assert pumped.peak_c == direct.peak_c
-    assert pumped.settled.count == direct.settled.count
-    assert pumped.average_temp_c == direct.average_temp_c
-    assert pumped.variance_c2 == direct.variance_c2
-
-
-def test_async_pump_snapshots_interval_mappings(workload):
-    """The engine reuses its per-interval mapping; the pump must hand
-    each wrapped consumer a stable snapshot instead."""
-
-    class Holder(TraceConsumer):
-        def __init__(self):
-            self.times = []
-            self.held = []
-
-        def on_interval(self, values):
-            self.times.append(values["time_s"])
-            self.held.append(values)  # deliberately violates the
-            # no-holding contract -- snapshots make it safe
-
-    holder = Holder()
-    pump = AsyncConsumerPump([holder])
-    result = Simulator(
-        workload, ThermalMode.NO_FAN, max_duration_s=60.0, consumers=[pump]
-    ).run()
-    assert holder.times == list(result.trace.column("time_s"))
-    # held mappings are genuine snapshots, not one recycled dict
-    assert [m["time_s"] for m in holder.held] == holder.times
-
-
-def test_async_pump_surfaces_downstream_errors(workload):
-    class Exploding(TraceConsumer):
-        def on_interval(self, values):
-            raise ValueError("downstream blew up")
-
-    pump = AsyncConsumerPump([Exploding()])
-    with pytest.raises(ValueError, match="downstream blew up"):
-        Simulator(
-            workload, ThermalMode.NO_FAN, max_duration_s=60.0,
-            consumers=[pump],
-        ).run()
-
-
-def test_async_pump_validates_bound():
-    with pytest.raises(SimulationError):
-        AsyncConsumerPump([], maxsize=0)
-
-
-def test_async_pump_replay_path(workload):
-    """replay() through a pump == replay() direct (cached-result path)."""
-    result = Simulator(workload, ThermalMode.NO_FAN, max_duration_s=60.0).run()
-    direct = StreamingPower()
-    replay(result, [direct])
-    pumped = StreamingPower()
-    pump = AsyncConsumerPump([pumped], maxsize=4)  # tiny bound still drains
-    replay(result, [pump])
-    for rail in StreamingPower.RAILS:
-        assert pumped.mean_w(rail) == direct.mean_w(rail)
+    assert counter.interventions == int(trace.column("intervened").sum())

@@ -1,9 +1,13 @@
 """Distributed dispatch: protocol, loopback parity, crash reassignment."""
 
+import base64
 import socket
+import struct
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distributed.coordinator import run_batches
 from repro.distributed.protocol import (
@@ -26,6 +30,7 @@ from repro.runner import (
     result_bytes,
 )
 from repro.sim.engine import ThermalMode
+from repro.sim.run_result import RunResult
 from repro.workloads.generator import synthesize
 
 
@@ -91,6 +96,84 @@ def test_recv_frame_rejects_eof_garbage_and_oversize():
         b.close()
 
 
+def _recv_sent(data):
+    """``recv_frame`` on a socket whose peer sent ``data`` and hung up."""
+    a, b = socket.socketpair()
+    writer = threading.Thread(target=lambda: (a.sendall(data), a.close()))
+    writer.start()
+    try:
+        return recv_frame(b)
+    finally:
+        writer.join(timeout=10.0)
+        b.close()
+
+
+def test_recv_frame_rejects_deep_nesting():
+    """200 KB of ``[`` is far below the frame bound but past the JSON
+    decoder's recursion limit: a protocol error, not ``RecursionError``."""
+    body = b"[" * 200_000
+    with pytest.raises(ProtocolError):
+        _recv_sent(struct.pack(">I", len(body)) + body)
+
+
+_BODIES = st.one_of(
+    st.binary(max_size=512),
+    st.text(max_size=64).map(lambda t: t.encode("utf-8")),
+    st.integers(min_value=0, max_value=3000).map(lambda n: b"[" * n),
+    st.sampled_from([b'{"op": "done"}', b'{"op": 1, "x": [', b"[]"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(body=_BODIES, framed=st.booleans())
+def test_recv_frame_raises_only_protocol_errors(body, framed):
+    """Arbitrary bytes, length-prefixed or raw, decode to a frame or
+    raise ProtocolError -- never anything else."""
+    data = struct.pack(">I", len(body)) + body if framed else body
+    try:
+        frame = _recv_sent(data)
+    except ProtocolError:
+        return
+    assert isinstance(frame, dict) and "op" in frame
+
+
+#: JSON values: what ``chains_from_wire`` may be handed by a peer.
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=8), kids, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _damaged_wire_result(draw, good):
+    """``good`` with one summary field, or the blob, replaced or torn."""
+    summary = dict(good["summary"], trace=dict(good["summary"]["trace"]))
+    blob = good["blob"]
+    target = draw(st.sampled_from(
+        sorted(summary) + ["trace.columns", "trace.length", "blob", "bytes"]
+    ))
+    if target == "bytes":  # a torn or overwritten npz
+        raw = base64.b64decode(blob)
+        at = draw(st.integers(min_value=0, max_value=len(raw)))
+        junk = draw(st.binary(max_size=8))
+        cut = draw(st.booleans())
+        raw = raw[:at] if cut else raw[:at] + junk + raw[at + len(junk):]
+        blob = base64.b64encode(raw).decode("ascii")
+    elif target == "blob":
+        blob = draw(_JSON)
+    elif target.startswith("trace."):
+        summary["trace"][target[len("trace."):]] = draw(_JSON)
+    else:
+        summary[target] = draw(_JSON)
+    return {"summary": summary, "blob": blob}
+
+
 def test_result_wire_round_trip_is_byte_identical(serial):
     for result in serial:
         clone = result_from_wire(result_to_wire(result))
@@ -100,6 +183,24 @@ def test_result_wire_round_trip_is_byte_identical(serial):
     assert [[result_bytes(r) for r in c] for c in back] == [
         [result_bytes(r) for r in c] for c in chains
     ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_chains_from_wire_raises_only_protocol_errors(serial, data):
+    """Generated JSON values and damaged wire results decode to chains
+    of results or raise ProtocolError -- never anything else."""
+    damaged = _damaged_wire_result(result_to_wire(serial[0]))
+    obj = data.draw(st.one_of(
+        _JSON,
+        st.lists(st.lists(damaged, max_size=2), max_size=2),
+        damaged.map(lambda r: [r]),
+    ))
+    try:
+        chains = chains_from_wire(obj)
+    except ProtocolError:
+        return
+    assert all(isinstance(r, RunResult) for c in chains for r in c)
 
 
 def test_parse_endpoints():
@@ -253,3 +354,59 @@ def test_lease_timeout_reassigns_silent_worker(specs, serial):
         steady.stop()
         lis.close()
         thread.join(timeout=10.0)
+
+
+def test_malformed_done_frame_fails_the_run_instead_of_hanging(specs):
+    """Both workers answer the one batch with an undecodable ``done``
+    frame.  Each is retired and the batch requeued, so the run fails
+    with SimulationError once both are gone -- it must not leave the
+    second worker's thread waiting for a batch that never comes back."""
+    done = {"op": "done", "chains": [[{"summary": {}, "blob": ""}]]}
+
+    def _malformed(server_sock):
+        conn, _ = server_sock.accept()
+        with conn:
+            recv_frame(conn)  # hello
+            send_frame(conn, {"op": "ready"})
+            recv_frame(conn)  # the run frame
+            send_frame(conn, done)
+            stop.wait(30.0)
+
+    stop = threading.Event()
+    listeners, fakes = [], []
+    for _ in range(2):
+        lis = socket.socket()
+        lis.bind(("127.0.0.1", 0))
+        lis.listen(1)
+        listeners.append(lis)
+        fakes.append(
+            threading.Thread(target=_malformed, args=(lis,), daemon=True)
+        )
+    for fake in fakes:
+        fake.start()
+    outcome = []
+
+    def _run():
+        try:
+            run_batches(
+                [[specs[0]]],
+                workers=",".join(
+                    "127.0.0.1:%d" % lis.getsockname()[1] for lis in listeners
+                ),
+            )
+        except Exception as exc:  # noqa: BLE001 - checked below
+            outcome.append(exc)
+
+    runner = threading.Thread(target=_run, daemon=True)
+    runner.start()
+    try:
+        runner.join(timeout=30.0)
+        assert not runner.is_alive(), "run_batches hung on a malformed frame"
+        assert len(outcome) == 1
+        assert isinstance(outcome[0], SimulationError), outcome[0]
+    finally:
+        stop.set()
+        for lis in listeners:
+            lis.close()
+        for fake in fakes:
+            fake.join(timeout=10.0)

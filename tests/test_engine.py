@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.engine import Simulator, ThermalMode
+from repro.sim.engine import BatchSimulator, Simulator, ThermalMode
 from repro.sim.models import build_models
 from repro.sim.experiment import make_dtpm_governor
 from repro.workloads.generator import synthesize
@@ -94,6 +94,33 @@ def test_energy_consistency():
     )
 
 
+def test_meter_energy_is_integrated_platform_power():
+    """With meter noise off, a lane's energy is the recorded platform
+    power integrated over its control periods.
+
+    Fan lanes are left out: each recorded ``platform_power_w`` is the
+    interval's last meter reading, while the meter prices every substep
+    at that substep's fan speed, so a fan step inside an interval makes
+    the sum differ from ``energy_j`` (~1e-4 relative, by design).
+    """
+    sims = [
+        Simulator(
+            _short_workload(seed=seed, duration=10.0),
+            ThermalMode.NO_FAN,
+            seed=seed,
+        )
+        for seed in (1, 2, 3)
+    ]
+    for sim in sims:
+        sim.board.meter.relative_noise = 0.0
+    for sim, result in zip(sims, BatchSimulator(sims).run()):
+        power_w = result.trace.column("platform_power_w")
+        assert power_w.size > 0
+        assert result.energy_j == pytest.approx(
+            float(np.sum(power_w * sim.config.control_period_s)), rel=1e-12
+        )
+
+
 @pytest.fixture(scope="module")
 def quick_models():
     return build_models(prbs_duration_s=300.0)
@@ -108,3 +135,7 @@ def test_dtpm_engine_runs_and_counts(quick_models):
     assert result.violations_predicted > 0
     assert result.interventions > 0
     assert result.trace.column("intervened").sum() == result.interventions
+    assert (
+        result.trace.column("violation_predicted").sum()
+        == result.violations_predicted
+    )

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.report import generate_report
-from repro.analysis.stats import stability_stats_streaming
 from repro.runner import ParallelRunner, ResultCache
 from repro.sim.engine import Simulator, ThermalMode
 from repro.sim.experiment import dtpm_vs_default, run_benchmark
@@ -119,15 +118,15 @@ def _seed_path_report(models, workloads):
                 ThermalMode.DTPM,
             ):
                 result = run_benchmark(workload, mode, models=models)
-                stats = stability_stats_streaming(result)
+                skip = 0.4 * result.execution_time_s
                 lines.append(
                     "| %s | %s | %.1f | %.1f | %.1f |"
                     % (
                         workload.name,
                         mode.value,
-                        stats.peak_c,
-                        stats.average_temp_c,
-                        stats.max_min_c,
+                        result.peak_temp_c(),
+                        result.average_temp_c(skip),
+                        result.temp_max_min_c(skip),
                     )
                 )
         lines.append("")

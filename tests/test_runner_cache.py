@@ -174,9 +174,12 @@ def test_corrupt_blob_is_a_miss(tmp_path, workload, result):
     key = spec_key(RunSpec(workload=workload, mode=ThermalMode.NO_FAN))
     cache.put(key, result)
     _, blob_path = _entry_paths(tmp_path, key)
-    with open(blob_path, "wb") as fh:
-        fh.write(b"not an npz")
-    assert cache.get(key) is None
+    for damaged in (b"not an npz", b""):  # a zero-byte blob hits EOF
+        with open(blob_path, "wb") as fh:
+            fh.write(damaged)
+        for mmap in (False, True):
+            reader = ResultCache(root=str(tmp_path), memory=False, mmap=mmap)
+            assert reader.get(key) is None, (damaged, mmap)
 
 
 def test_disk_usage_and_prune(tmp_path, workload, result):

@@ -6,6 +6,11 @@ renamed, or that the closed loop stops calling, would read 0 calls and
 silently drop out of the per-layer numbers.  These tests install the
 tracer, unmodified, around two small batches and assert that every
 closed-loop span fires where it should.
+
+``sim.record`` wraps two calls per recorded row: ``TraceRecorder.append``
+and the engine's ``ViolationCounter.on_interval``.  Pinning that count
+means a change that stops calling the counter fails here instead of
+showing up as a faster ``sim.record``.
 """
 
 import importlib.util
@@ -37,8 +42,11 @@ def _calls(tracing, sims):
     with tracer:
         results = BatchSimulator(sims).run()
     stats = tracer.layer_stats()
-    return results, {name: stats.get(name, {"calls": 0})["calls"]
-                     for name in tracing.SPAN_NAMES}
+    calls = {name: stats.get(name, {"calls": 0})["calls"]
+             for name in tracing.SPAN_NAMES}
+    # one recorder append and one counter call per recorded row
+    assert calls["sim.record"] == 2 * sum(len(r.trace) for r in results)
+    return results, calls
 
 
 def test_dtpm_batch_fires_every_control_span(tracing, models):
