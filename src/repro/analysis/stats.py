@@ -4,7 +4,7 @@ Every statistic exists at two altitudes, the same refactor discipline as
 the batched plant (``step_batch``/``BatchSimulator``):
 
 * **batch variants** (``*_batch``) take *sequences of column arrays* --
-  one (possibly memory-mapped) 1-D array per run, ragged lengths allowed
+  one 1-D array (or view) per run, ragged lengths allowed
   -- and return struct-of-arrays dictionaries, one value per run.  They
   never materialise per-row Python dicts; the per-interval dimension
   stays inside NumPy reductions.  :class:`repro.analysis.suite.SuiteFrame`
@@ -23,7 +23,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.sim.run_result import RunResult, settle_start
 
-#: One column per run: ragged sequences of 1-D arrays (views or memmaps).
+#: One column per run: ragged sequences of 1-D arrays.
 ColumnBatch = Sequence[np.ndarray]
 #: A per-run skip window: one scalar for all runs or one value per run.
 SkipLike = Union[float, Sequence[float], np.ndarray, None]
@@ -78,8 +78,8 @@ def stability_stats_batch(
     """Regulation-quality statistics of B runs, array-in/array-out.
 
     ``times``/``temps`` hold one column array per run (ragged lengths
-    fine; memory-mapped cache views welcome -- only the settled slice of
-    each is ever touched).  Returns ``average_temp_c`` / ``max_min_c`` /
+    fine; views welcome -- only the settled slice of each is ever
+    touched).  Returns ``average_temp_c`` / ``max_min_c`` /
     ``variance_c2`` / ``peak_c`` arrays of shape ``(B,)``, each lane
     bit-equal to :func:`stability_stats` on the same run.
     """

@@ -4,10 +4,11 @@ A :class:`SuiteFrame` gathers the *summaries* of many runs into
 struct-of-arrays columns (one NumPy array per scalar field, one list per
 string field) and keeps every *trace* as a lazy handle: in-memory results
 contribute zero-copy views of their recorders, cached entries contribute
-the ``.npz`` blob opened **as a memory map** on first touch -- a frame
-over a whole :class:`~repro.runner.ResultCache` directory therefore never
-pulls a trace eagerly into RAM, and a reduction that reads two columns of
-each run faults in only those pages.
+their trace blob, decoded and CRC-checked on first touch -- a frame over
+a whole :class:`~repro.runner.ResultCache` directory opens from the
+summaries alone, and each trace is read once, when a reduction first
+needs it.  A missing or damaged blob raises
+:class:`~repro.errors.SimulationError` naming its key.
 
 Reductions (:meth:`stability`, :meth:`regulation`, :meth:`savings`,
 :meth:`residency`, :meth:`groupby`) are array-in/array-out: they funnel
@@ -153,7 +154,6 @@ class SuiteFrame:
         cls,
         cache: ResultCache,
         keys: Optional[Sequence[str]] = None,
-        mmap: bool = True,
         specs: Optional[Sequence[RunSpec]] = None,
     ) -> "SuiteFrame":
         """Frame over cached entries; traces stay on disk until touched.
@@ -165,8 +165,8 @@ class SuiteFrame:
         per-entry work at all, and unreadable or malformed summaries
         are skipped.  Explicit ``keys`` are read entry by entry, and a
         missing, unreadable or malformed entry raises.  Either way every
-        row's trace blob is opened -- memory-mapped with ``mmap=True``
-        -- on first touch.
+        row's trace blob is read on first touch
+        (:meth:`~repro.runner.ResultCache.open_trace`).
         """
         if keys is None:
             frames = cache.frame_chunks()
@@ -195,15 +195,15 @@ class SuiteFrame:
             modes=modes,
             scalars=_scalar_columns(rows, completed),
             trace_columns=trace_columns,
-            trace_loaders=[partial(open_trace, key, mmap) for key in kept],
+            trace_loaders=[partial(open_trace, key) for key in kept],
             keys=kept,
             specs=specs,
         )
 
     @classmethod
-    def open_dir(cls, root: str, mmap: bool = True) -> "SuiteFrame":
+    def open_dir(cls, root: str) -> "SuiteFrame":
         """Frame over every entry of an on-disk cache directory."""
-        return cls.from_cache(ResultCache(root=root, memory=False), mmap=mmap)
+        return cls.from_cache(ResultCache(root=root, memory=False))
 
     # ------------------------------------------------------------------
     # columnar access
@@ -247,7 +247,7 @@ class SuiteFrame:
         return cached
 
     def trace_column(self, i: int, name: str) -> np.ndarray:
-        """One column of row ``i``'s trace (a view; pages load on demand)."""
+        """One column of row ``i``'s trace (a view of the memoised matrix)."""
         try:
             idx = self._trace_columns[i].index(name)
         except ValueError:
@@ -462,14 +462,15 @@ def _summary_rows(
         yield key, row
 
 
-def summarize_dir(root: str, mmap: bool = True) -> str:
+def summarize_dir(root: str) -> str:
     """Human-readable digest of a cache directory's suite of runs.
 
     The ``repro-dtpm suite summarize`` body: opens the directory as a
-    :class:`SuiteFrame` (traces memory-mapped) and renders per-mode
-    aggregate rows from its reductions.
+    :class:`SuiteFrame` and renders per-mode aggregate rows from its
+    reductions.  A damaged trace blob raises
+    :class:`~repro.errors.SimulationError`.
     """
-    frame = SuiteFrame.open_dir(root, mmap=mmap)
+    frame = SuiteFrame.open_dir(root)
     if len(frame) == 0:
         return "cache at %s holds no readable run entries" % root
     from repro.analysis.tables import render_table

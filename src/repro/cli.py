@@ -44,7 +44,7 @@ from typing import List, Optional
 
 from repro.analysis.tables import benchmark_table, frequency_table, render_table
 from repro.config import SimulationConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.runner import (
     ExperimentMatrix,
     ParallelRunner,
@@ -526,7 +526,11 @@ def _cmd_suite_summarize(args) -> int:
             file=sys.stderr,
         )
         return 2
-    text = summarize_dir(root, mmap=not args.no_mmap)
+    try:
+        text = summarize_dir(root)
+    except SimulationError as exc:  # a missing or damaged trace blob
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     if "no readable run entries" in text:
         print("error: %s" % text, file=sys.stderr)
         return 2
@@ -627,17 +631,15 @@ def build_parser() -> argparse.ArgumentParser:
     suite_sub = p_suite.add_subparsers(dest="suite_command")
     p_summ = suite_sub.add_parser(
         "summarize",
-        help="open a cache directory as one columnar SuiteFrame (traces "
-             "memory-mapped) and print per-mode aggregate reductions",
+        help="open a cache directory as one columnar SuiteFrame and "
+             "print per-mode aggregate reductions (each trace blob is "
+             "read and CRC-checked; a damaged one is an error)",
     )
     # SUPPRESS: the parent `suite` parser already owns --cache-dir (via
     # _add_runner_args); a subparser default would clobber a value given
     # before the subcommand token (`suite --cache-dir X summarize`)
     p_summ.add_argument("--cache-dir", default=argparse.SUPPRESS,
                         help="cache directory (default: $REPRO_CACHE_DIR)")
-    p_summ.add_argument("--no-mmap", action="store_true",
-                        help="load trace blobs eagerly instead of "
-                             "memory-mapping them")
     p_suite.set_defaults(func=_cmd_suite)
 
     p_sweep = sub.add_parser(

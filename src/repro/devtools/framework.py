@@ -30,7 +30,7 @@ import os
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Type
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"

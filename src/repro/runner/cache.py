@@ -12,20 +12,19 @@ interruption) and readers must keep finding every key meanwhile.
 Every entry is a small ``<key>.json`` *summary* (scalars +
 ``"artifact": 2`` + trace shape) next to a ``<key>.npz`` binary trace
 blob -- the summary is written last and is the commit point.  The blob
-stores the ``(rows, columns)`` float64 matrix uncompressed, so loading
-is a single binary read (or a memory map via ``mmap=True``) and the
+stores the ``(rows, columns)`` float64 matrix uncompressed, so the
 round trip is numerically exact by construction.  A ``<key>.json``
 without ``"artifact": 2`` (the trace-rows-inline files of cache format
 1, which no current key reaches because ``spec_key`` hashes the format)
 is a miss that bulk reads skip and :func:`prune` still evicts.
 
-Trace blobs may be stored *compressed* (``compress="deflate"``, stdlib
-zlib, suffix ``.npz.z``).  Compression never changes a result: the blob
-decompresses to the exact npz bytes an uncompressed store would hold.
-Memory-mapped readers *rehydrate* a compressed blob on first touch --
-decompress to the uncompressed ``.npz`` beside the summary, drop the
-compressed file, then map -- so ``mmap=True`` keeps its lazy-pages
-property at the cost of one write per first touch.
+``repro-dtpm cache migrate --compress deflate`` may transcode blobs
+through stdlib zlib (suffix ``.npz.z``).  Compression never changes a
+result: the blob decompresses to the exact npz bytes an uncompressed
+store would hold.  Every blob -- plain or deflated on disk, base64 on
+the distributed wire -- is decoded by :func:`trace_from_npz_bytes`,
+whose zip read checks the member's CRC-32: a damaged blob is a miss or
+a typed error, never a wrong trace, and no read writes to the store.
 
 Bulk readers (:meth:`ResultCache.frame_chunks`, feeding
 ``SuiteFrame.open_dir``) ride a per-shard *frame index*: one
@@ -55,7 +54,6 @@ import io
 import json
 import math
 import os
-import struct
 import tempfile
 import threading
 import time
@@ -79,7 +77,7 @@ ARTIFACT_FORMAT = 2
 #: Suffix of the binary trace blob sitting next to a summary.
 TRACE_BLOB_SUFFIX = ".npz"
 
-#: Suffix of a deflate-compressed trace blob (``compress="deflate"``).
+#: Suffix of a deflate-compressed trace blob (``cache migrate --compress``).
 DEFLATE_BLOB_SUFFIX = ".npz.z"
 
 #: Every suffix a trace blob may carry, plain first (the probe order).
@@ -116,10 +114,10 @@ SUMMARY_COUNT_FIELDS: Tuple[str, ...] = (
 )
 
 #: What reading a damaged trace blob raises: a missing or torn file,
-#: bytes that are no npz archive (an npy, an empty file, a bad zip or
-#: deflate stream), a member packed with a method ``zipfile`` cannot
-#: read, an npy header that does not tokenize, a missing member, or a
-#: matrix that disagrees with its summary.
+#: bytes that are no zip archive or deflate stream, a member whose CRC-32
+#: or header does not check out, a member flagged as encrypted or packed
+#: with a method ``zipfile`` cannot read, a missing member, an npy header
+#: that does not parse, or a matrix that disagrees with its summary.
 BLOB_ERRORS: Tuple[Type[BaseException], ...] = (
     OSError,
     EOFError,
@@ -127,6 +125,7 @@ BLOB_ERRORS: Tuple[Type[BaseException], ...] = (
     KeyError,
     TypeError,
     NotImplementedError,
+    RuntimeError,
     tokenize.TokenError,
     zipfile.BadZipFile,
     zlib.error,
@@ -139,13 +138,15 @@ def loads_json(raw: bytes) -> Any:
 
     ``json.loads`` raises ``RecursionError`` on nesting deeper than the
     interpreter's recursion limit, which a few hundred kilobytes of
-    ``[`` reach.  Summaries, frame files and wire frames are all parsed
-    here, so such a document is malformed like any other.
+    ``[`` reach.  Summaries, frame files, wire frames and service
+    request bodies are all parsed here, so such a document is malformed
+    like any other: a ``json.JSONDecodeError``.
     """
+    text = raw.decode("utf-8")
     try:
-        return json.loads(raw.decode("utf-8"))
+        return json.loads(text)
     except RecursionError:
-        raise ValueError("JSON nested too deeply") from None
+        raise json.JSONDecodeError("JSON nested too deeply", text, 0) from None
 
 
 def _is_finite_number(value: Any) -> bool:
@@ -323,73 +324,27 @@ def _blob_key(name: str) -> Optional[str]:
     return None
 
 
-def _mmap_npz_member(path: str, name: str) -> np.ndarray:
-    """Memory-map one *stored* (uncompressed) member of an npz file.
-
-    ``np.savez`` writes plain ``.npy`` payloads into a STORED zip, so the
-    array bytes sit contiguously in the file; after parsing the npy
-    header we can hand the data region to ``np.memmap`` directly.
-    Raises on compressed/unsupported layouts -- callers fall back to an
-    eager load.
-    """
-    with zipfile.ZipFile(path) as zf:
-        info = zf.getinfo(name)
-        if info.compress_type != zipfile.ZIP_STORED:
-            raise SimulationError("npz member %r is compressed" % name)
+def load_trace_blob(path: str) -> np.ndarray:
+    """The trace matrix of a blob file, plain or deflated (``.npz.z``)."""
     with open(path, "rb") as fh:
-        fh.seek(info.header_offset)
-        local = fh.read(30)
-        if local[:4] != b"PK\x03\x04":
-            raise SimulationError("bad local zip header in %s" % path)
-        name_len, extra_len = struct.unpack("<HH", local[26:30])
-        fh.seek(info.header_offset + 30 + name_len + extra_len)
-        version = np.lib.format.read_magic(fh)
-        if version == (1, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
-        elif version == (2, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_2_0(fh)
-        else:
-            raise SimulationError("unsupported npy version %r" % (version,))
-        offset = fh.tell()
-    return np.memmap(
-        path,
-        dtype=dtype,
-        mode="r",
-        offset=offset,
-        shape=shape,
-        order="F" if fortran else "C",
-    )
-
-
-def load_trace_blob(path: str, mmap: bool = False) -> np.ndarray:
-    """Load (or memory-map) the trace matrix of a blob file.
-
-    Compressed blobs (``.npz.z``) decompress in memory; memory-mapping
-    them goes through :meth:`ResultCache.open_trace`, which rehydrates
-    the uncompressed file first so the map has real bytes to point at.
-    """
+        raw = fh.read()
     if path.endswith(DEFLATE_BLOB_SUFFIX):
-        with open(path, "rb") as fh:
-            return trace_from_npz_bytes(zlib.decompress(fh.read()))
-    if mmap:
-        try:
-            return _mmap_npz_member(path, TRACE_MEMBER + ".npy")
-        except BLOB_ERRORS:
-            pass  # fall back to an eager load below
-    return _npz_trace(np.load(path))
+        raw = zlib.decompress(raw)
+    return trace_from_npz_bytes(raw)
 
 
 def trace_from_npz_bytes(raw: bytes) -> np.ndarray:
-    """The trace matrix of an in-memory npz blob."""
-    return _npz_trace(np.load(io.BytesIO(raw)))
+    """The trace matrix of an npz blob's bytes -- the one blob decoder.
 
-
-def _npz_trace(loaded: Any) -> np.ndarray:
-    """The trace matrix of what ``np.load`` returned for a blob."""
-    if not isinstance(loaded, np.lib.npyio.NpzFile):
-        raise ValueError("trace blob is not an npz archive")
-    with loaded as npz:
-        return npz[TRACE_MEMBER]
+    Store reads (:func:`load_trace_blob`) and the distributed wire
+    decoder both end here.  ``ZipFile.read`` checks the member's CRC-32,
+    so damaged bytes raise one of :data:`BLOB_ERRORS` instead of
+    decoding to a wrong matrix, and ``allow_pickle=False`` keeps the
+    member plain data.
+    """
+    with zipfile.ZipFile(io.BytesIO(raw)) as zf:
+        npy = zf.read(TRACE_MEMBER + ".npy")
+    return np.lib.format.read_array(io.BytesIO(npy), allow_pickle=False)
 
 
 def default_cache_dir() -> Optional[str]:
@@ -405,15 +360,15 @@ def store_depth(root: str) -> int:
     """The shard depth a store's ``.layout.json`` marker declares (1 or 2).
 
     A missing or unreadable marker means the legacy single-level layout
-    (depth 1) -- every store written before the marker existed.
+    (depth 1) -- every store written before the marker existed -- and so
+    does a marker that declares anything but depth 2.
     """
     try:
         with open(os.path.join(root, LAYOUT_MARKER), "rb") as fh:
             payload = loads_json(fh.read())
-        depth = int(payload["depth"])
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError):
         return 1
-    return depth if depth in (1, 2) else 1
+    return 2 if isinstance(payload, dict) and payload.get("depth") == 2 else 1
 
 
 def _write_layout_marker(root: str, depth: int) -> None:
@@ -430,14 +385,6 @@ def _entry_dir(root: str, key: str, depth: int) -> str:
     return os.path.join(root, key[:2])
 
 
-def _check_codec(compress: Optional[str]) -> None:
-    if compress not in (None, "deflate"):
-        raise ConfigurationError(
-            "unknown blob codec %r (the only codec is 'deflate')"
-            % (compress,)
-        )
-
-
 @dataclass
 class CacheStats:
     """Hit/miss/store counters of one ResultCache instance."""
@@ -450,20 +397,15 @@ class CacheStats:
 class ResultCache:
     """Content-addressed RunResult store (in-memory + optional disk).
 
-    ``mmap=True`` memory-maps trace blobs on read instead of loading
-    them eagerly -- suite-scale consumers that only touch a column or two
-    of each trace then never pull whole blobs into memory.  Mapped traces
-    are read-only views; appending to them copies first.
-
     ``fanout`` picks the shard depth new entries are written at: ``1``
     (``<root>/ab/``, the legacy flat layout), ``2`` (``<root>/ab/cd/``),
     or ``None`` (default) to adopt whatever the store's layout marker
     declares.  Reads always probe both depths, so mixed and mid-migration
     stores stay fully readable.
 
-    ``compress="deflate"`` writes new trace blobs through stdlib zlib;
-    reads handle any mix of compressed and plain blobs regardless of
-    this setting.
+    New trace blobs are written plain; reads handle any mix of plain and
+    deflated blobs.  ``mmap`` is accepted and ignored: every read decodes
+    the whole blob through its CRC check.
     """
 
     def __init__(
@@ -472,7 +414,6 @@ class ResultCache:
         memory: bool = True,
         mmap: bool = False,
         fanout: Optional[int] = None,
-        compress: Optional[str] = None,
     ) -> None:
         if root is None and not memory:
             raise SimulationError(
@@ -490,9 +431,6 @@ class ResultCache:
                 "fanout must be 1 (flat) or 2 (sharded), got %r" % (fanout,)
             )
         self.depth = depth
-        _check_codec(compress)
-        self.compress = compress
-        self.mmap = mmap
         self._lock = threading.Lock()
         # decoded results, so repeated in-process hits skip JSON parsing
         # (callers share the object, like the old per-session run memo);
@@ -514,14 +452,6 @@ class ResultCache:
         assert self.root is not None
         return os.path.join(
             _entry_dir(self.root, key, self.depth), key + ".json"
-        )
-
-    def _blob_path(self, key: str) -> str:
-        """The blob path (write depth + configured codec suffix)."""
-        assert self.root is not None
-        suffix = DEFLATE_BLOB_SUFFIX if self.compress else TRACE_BLOB_SUFFIX
-        return os.path.join(
-            _entry_dir(self.root, key, self.depth), key + suffix
         )
 
     def _probe_dirs(self, key: str) -> List[str]:
@@ -553,40 +483,23 @@ class ResultCache:
                     return path
         return None
 
-    def _read_trace(self, key: str, mmap: bool) -> np.ndarray:
-        """One entry's trace matrix, rehydrating compressed blobs for maps.
+    def _read_trace(self, key: str) -> np.ndarray:
+        """One entry's trace matrix; raises one of :data:`BLOB_ERRORS`.
 
-        A compressed blob read with ``mmap=True`` is decompressed to the
-        plain ``.npz`` beside its summary (atomic write), the compressed
-        file is dropped, and the fresh file is mapped -- decompression
-        on first touch, every later read maps directly.  Non-mapped
-        reads decompress in memory and leave the store as-is.
-
-        A blob can vanish between the probe and the open: another mapped
-        reader rehydrated it, or a migration moved it.  What replaced it
-        holds the same bytes, so the probe runs once more.
+        A blob can vanish between the probe and the open: a concurrent
+        ``cache migrate`` moved it to the other depth or codec.  What
+        replaced it holds the same trace, so the probe runs once more.
         """
         try:
-            return self._read_blob(key, self._find_blob(key), mmap)
+            return self._read_blob(key)
         except FileNotFoundError:
-            return self._read_blob(key, self._find_blob(key), mmap)
+            return self._read_blob(key)
 
-    def _read_blob(
-        self, key: str, path: Optional[str], mmap: bool
-    ) -> np.ndarray:
+    def _read_blob(self, key: str) -> np.ndarray:
+        path = self._find_blob(key)
         if path is None:
-            raise SimulationError("no trace blob for cache entry %s" % key)
-        if not (mmap and path.endswith(DEFLATE_BLOB_SUFFIX)):
-            return load_trace_blob(path, mmap=mmap)
-        with open(path, "rb") as fh:
-            raw = zlib.decompress(fh.read())
-        plain = path[: -len(DEFLATE_BLOB_SUFFIX)] + TRACE_BLOB_SUFFIX
-        self._atomic_write(plain, raw)
-        try:
-            os.unlink(path)
-        except OSError:
-            pass  # a concurrent rehydrator got there first
-        return load_trace_blob(plain, mmap=True)
+            raise SimulationError("no trace blob")
+        return load_trace_blob(path)
 
     def _load_disk(self, key: str) -> Optional[RunResult]:
         path = self._find_summary(key)
@@ -597,7 +510,7 @@ class ResultCache:
                 payload = loads_json(fh.read())
             if not is_summary(payload):
                 return None
-            data = self._read_trace(key, mmap=self.mmap)
+            data = self._read_trace(key)
             result = summary_to_result(payload, data)
         except BLOB_ERRORS:
             # corrupt/truncated/stale/format-1 entry: treat as a miss, let
@@ -686,22 +599,16 @@ class ResultCache:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             # trace blob first, summary JSON last: the summary is the
             # commit point, so readers never see a summary without a blob
+            entry = path[: -len(".json")]
             blob = trace_blob_bytes(result)
-            if self.compress is not None:
-                blob = zlib.compress(blob, DEFLATE_LEVEL)
-            self._atomic_write(self._blob_path(key), blob)
+            self._atomic_write(entry + TRACE_BLOB_SUFFIX, blob)
             self._atomic_write(path, payload_bytes(result_to_summary(result)))
-            # a re-put under a different codec leaves the old variant
-            # behind; drop it so the entry has exactly one blob
-            keep = os.path.basename(self._blob_path(key))
-            for suffix in BLOB_SUFFIXES:
-                name = key + suffix
-                if name == keep:
-                    continue
-                try:
-                    os.unlink(os.path.join(os.path.dirname(path), name))
-                except OSError:
-                    pass
+            # a re-put over a blob ``cache migrate --compress deflate``
+            # transcoded drops that copy, so the entry has exactly one blob
+            try:
+                os.unlink(entry + DEFLATE_BLOB_SUFFIX)
+            except OSError:
+                pass
         with self._lock:
             self.stats.stores += 1
 
@@ -715,7 +622,7 @@ class ResultCache:
             )
 
     # ------------------------------------------------------------------
-    # suite-scale read path: summaries without traces, traces as memmaps
+    # suite-scale read path: summaries without traces, traces on demand
     # (repro.analysis.suite opens whole directories through these)
     def keys(self) -> List[str]:
         """Every key with an on-disk summary, in deterministic order."""
@@ -785,37 +692,35 @@ class ResultCache:
         return frames
 
     def trace_path(self, key: str) -> str:
-        """Path of the *uncompressed* trace blob belonging to ``key``.
+        """Path of the plain ``.npz`` trace blob belonging to ``key``.
 
         Consumers stream these bytes as npz directly (e.g. the service's
-        trace endpoint), so a compressed-only entry reports the path its
-        plain blob would rehydrate to -- which then does not exist;
-        callers fall back to :meth:`get` + :func:`trace_blob_bytes`.
+        trace endpoint).  An entry whose blob ``cache migrate --compress
+        deflate`` transcoded, like a missing one, reports the write-depth
+        path of a plain blob, which does not exist; callers fall back to
+        :meth:`get` + :func:`trace_blob_bytes`.
         """
         if self.root is None:
             raise SimulationError("cache has no root directory")
         found = self._find_blob(key)
-        if found is None:
-            return os.path.join(
-                _entry_dir(self.root, key, self.depth),
-                key + TRACE_BLOB_SUFFIX,
-            )
-        if found.endswith(DEFLATE_BLOB_SUFFIX):
-            return found[: -len(DEFLATE_BLOB_SUFFIX)] + TRACE_BLOB_SUFFIX
-        return found
-
-    def open_trace(self, key: str, mmap: Optional[bool] = None) -> np.ndarray:
-        """The trace matrix of one entry (a memory map by default).
-
-        ``mmap=None`` follows the cache's construction flag; analytics
-        callers pass ``mmap=True`` so a whole suite directory opens as
-        lazy views and only the pages a reduction touches are ever read.
-        Compressed blobs rehydrate on first mapped touch (see
-        :meth:`_read_trace`).
-        """
-        return self._read_trace(
-            key, mmap=self.mmap if mmap is None else mmap
+        if found is not None and found.endswith(TRACE_BLOB_SUFFIX):
+            return found
+        return os.path.join(
+            _entry_dir(self.root, key, self.depth), key + TRACE_BLOB_SUFFIX
         )
+
+    def open_trace(self, key: str) -> np.ndarray:
+        """The trace matrix of one entry, decoded and CRC-checked in full.
+
+        A missing or damaged blob raises :class:`SimulationError` naming
+        ``key``.
+        """
+        try:
+            return self._read_trace(key)
+        except BLOB_ERRORS as exc:
+            raise SimulationError(
+                "cache entry %s: unreadable trace blob (%s)" % (key, exc)
+            ) from None
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
@@ -1169,8 +1074,8 @@ def prune(root: str, max_bytes: Optional[int]) -> Tuple[int, int]:
     a pruner died between the two unlinks) -- at worst a reader sees a
     summary whose blob is gone, which :meth:`ResultCache.get` already
     treats as a clean miss, and the half-removed entry stays listed for
-    the next prune.  A reader holding an open handle or memory map into
-    a blob keeps its data (POSIX unlink semantics); files a concurrent
+    the next prune.  A reader holding an open handle on a blob keeps
+    reading its data (POSIX unlink semantics); files a concurrent
     pruner, migration or re-put removed first are simply skipped, never
     an error.
     """
@@ -1221,7 +1126,7 @@ def prune(root: str, max_bytes: Optional[int]) -> Tuple[int, int]:
             except FileNotFoundError:
                 gone += 1  # a concurrent pruner got there first
             except OSError:
-                # undeletable (permissions, a platform that locks mapped
+                # undeletable (permissions, a platform that locks open
                 # files): keep the rest of the entry -- deleting the
                 # summary after a stuck blob would orphan the blob
                 # outside the index, exactly what blob-first prevents
@@ -1284,8 +1189,11 @@ def migrate(
         raise ConfigurationError(
             "fanout must be 1 (flat) or 2 (sharded), got %r" % (fanout,)
         )
-    if compress != "none":
-        _check_codec(compress)
+    if compress not in (None, "deflate", "none"):
+        raise ConfigurationError(
+            "unknown blob codec %r (the codecs are 'deflate' and 'none')"
+            % (compress,)
+        )
     deflate = compress == "deflate"
     stats = MigrateStats()
     if not os.path.isdir(root):

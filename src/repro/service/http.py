@@ -48,6 +48,7 @@ from repro.errors import ReproError
 from repro.runner.cache import (
     ResultCache,
     default_cache_dir,
+    loads_json,
     result_to_summary,
     trace_blob_bytes,
 )
@@ -80,7 +81,7 @@ class EvaluationService:
     ----------
     cache:
         Shared :class:`ResultCache`.  Defaults to ``$REPRO_CACHE_DIR``
-        (memory-mapped trace reads) or a process-local in-memory cache.
+        or a process-local in-memory cache.
     models:
         A :class:`ModelBundle`, or None to load/build lazily through the
         cache's model store the first time a DTPM spec arrives.
@@ -106,7 +107,7 @@ class EvaluationService:
         verbose: bool = False,
     ) -> None:
         if cache is None:
-            cache = ResultCache(root=default_cache_dir(), mmap=True)
+            cache = ResultCache(root=default_cache_dir())
         self.cache = cache
         self.verbose = verbose
         self.started_s = time.time()
@@ -390,7 +391,7 @@ class _Handler(BaseHTTPRequestHandler):
         if memo is not None:
             self._send_bytes(200, memo)
             return
-        spec = spec_from_wire(json.loads(body.decode("utf-8")))
+        spec = spec_from_wire(loads_json(body))
         key = service.key_for(spec)
         result = service.cache.get(key)
         if result is not None:
@@ -412,7 +413,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post_matrix(self, body: bytes) -> None:
         service = self.service
-        matrix = matrix_from_wire(json.loads(body.decode("utf-8")))
+        matrix = matrix_from_wire(loads_json(body))
         specs = matrix.specs()
         keys = [service.key_for(spec) for spec in specs]
         runs = []
@@ -455,9 +456,7 @@ def serve(
     Blocks until interrupted; Ctrl-C drains the job queue before exiting
     so no queued work is silently dropped.
     """
-    cache = ResultCache(
-        root=cache_dir if cache_dir else default_cache_dir(), mmap=True
-    )
+    cache = ResultCache(root=cache_dir if cache_dir else default_cache_dir())
     service = EvaluationService(
         cache=cache, models=models, host=host, port=port,
         workers=workers, batch=batch, dispatch=dispatch, verbose=verbose,

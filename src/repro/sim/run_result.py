@@ -75,7 +75,7 @@ class TraceRecorder:
 
         The array is adopted without copying when it is already a
         contiguous ``float64`` matrix (e.g. straight out of an ``.npz``
-        blob or a memory map); the recorder then shares storage with it.
+        blob); the recorder then shares storage with it.
         """
         recorder = cls(columns)
         data = np.ascontiguousarray(data, dtype=np.float64)

@@ -93,11 +93,9 @@ def _interrupt_migration(root, keys):
 )
 def test_open_dir_equals_explicit_keys(tmp_path, layout):
     root = str(tmp_path)
-    cache = _fill(
-        root,
-        fanout=2 if layout == "depth2" else 1,
-        compress="deflate" if layout == "deflate" else None,
-    )
+    cache = _fill(root, fanout=2 if layout == "depth2" else 1)
+    if layout == "deflate":
+        cache_mod.migrate(root, fanout=1, compress="deflate")
     if layout == "mid_migration":
         _interrupt_migration(root, cache.keys())
     reader = ResultCache(root=root, memory=False)

@@ -92,47 +92,32 @@ def test_fanout_validation(tmp_path):
 # ---------------------------------------------------------------------------
 def test_deflate_round_trip_is_byte_identical(tmp_path, result):
     key = "ef" * 32
-    cache = ResultCache(root=str(tmp_path), compress="deflate")
-    cache.put(key, result)
+    ResultCache(root=str(tmp_path)).put(key, result)
+    migrate(str(tmp_path), fanout=1, compress="deflate")
     blob = tmp_path / key[:2] / (key + ".npz.z")
     assert blob.exists()
     assert blob.stat().st_size < len(trace_blob_bytes(result))
     reader = ResultCache(root=str(tmp_path), memory=False)
     assert result_bytes(reader.get(key)) == result_bytes(result)
-    assert blob.exists()  # non-mmap reads decompress in memory
+    # reads decompress in memory and write nothing
+    entry = os.path.join(key[:2], key)
+    assert _files(tmp_path) == [
+        ".layout.json", entry + ".json", entry + ".npz.z"
+    ]
 
 
-def test_mmap_read_rehydrates_compressed_blob(tmp_path, result):
-    key = "0f" * 32
-    ResultCache(root=str(tmp_path), compress="deflate").put(key, result)
-    reader = ResultCache(root=str(tmp_path), memory=False, mmap=True)
-    got = reader.get(key)
-    assert result_bytes(got) == result_bytes(result)
-    base = got.trace.array()
-    while not isinstance(base, np.memmap) and getattr(base, "base", None) is not None:
-        base = base.base
-    assert isinstance(base, np.memmap)  # the trace really is file-backed
-    # first touch replaced the compressed blob with the plain npz
-    assert not (tmp_path / key[:2] / (key + ".npz.z")).exists()
-    plain = tmp_path / key[:2] / (key + ".npz")
-    assert plain.exists()
-    again = ResultCache(root=str(tmp_path), memory=False, mmap=True)
-    assert result_bytes(again.get(key)) == result_bytes(result)
-
-
-def test_mapped_read_survives_a_concurrent_rehydration(
+def test_read_reprobes_a_blob_moved_by_a_concurrent_migrate(
     tmp_path, result, monkeypatch
 ):
-    """A reader whose probe found the compressed blob just before another
-    mapped reader rehydrated it re-probes and maps the plain blob."""
+    """A reader whose probe found a blob just before a concurrent
+    ``cache migrate`` moved it probes again and reads the moved blob."""
     key = "1f" * 32
     root = str(tmp_path)
-    ResultCache(root=root, compress="deflate").put(key, result)
-    reader = ResultCache(root=root, memory=False, mmap=True)
+    ResultCache(root=root).put(key, result)
+    reader = ResultCache(root=root, memory=False)
     stale = reader._find_blob(key)
-    assert stale.endswith(".npz.z")
-    ResultCache(root=root, memory=False, mmap=True).open_trace(key)
-    assert not os.path.exists(stale)  # the other reader rehydrated it
+    migrate(root, fanout=2, compress="deflate")
+    assert not os.path.exists(stale)  # now deflated, one level deeper
 
     probe = reader._find_blob
 
@@ -148,24 +133,23 @@ def test_mapped_read_survives_a_concurrent_rehydration(
     assert result_bytes(reader.get(key)) == result_bytes(result)  # no miss
 
 
-@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mapped"])
-def test_truncated_compressed_blob_is_a_clean_miss(tmp_path, result, mmap):
+def test_truncated_compressed_blob_is_a_clean_miss(tmp_path, result):
     key = "2f" * 32
     root = str(tmp_path)
-    ResultCache(root=root, compress="deflate").put(key, result)
+    ResultCache(root=root).put(key, result)
+    migrate(root, fanout=1, compress="deflate")
     blob = tmp_path / key[:2] / (key + ".npz.z")
     blob.write_bytes(blob.read_bytes()[: blob.stat().st_size // 2])
-    reader = ResultCache(root=root, memory=False, mmap=mmap, compress="deflate")
+    reader = ResultCache(root=root, memory=False)
     assert reader.get(key) is None
     assert reader.stats_snapshot().misses == 1
     reader.put(key, result)  # the writer replaces the damaged entry
+    assert not blob.exists()  # one blob per entry: the plain one
     assert result_bytes(reader.get(key)) == result_bytes(result)
 
 
 def test_unknown_codec_rejected(tmp_path):
     for codec in ("lz4", "zstd"):
-        with pytest.raises(ConfigurationError):
-            ResultCache(root=str(tmp_path), compress=codec)
         with pytest.raises(ConfigurationError):
             migrate(str(tmp_path), compress=codec)
 
@@ -234,7 +218,8 @@ def test_migrate_round_trips_back_to_flat(tmp_path, result):
     root = str(tmp_path)
     key = "de" * 32
     before = result_bytes(result)
-    ResultCache(root=root, fanout=2, compress="deflate").put(key, result)
+    ResultCache(root=root, fanout=2).put(key, result)
+    migrate(root, fanout=2, compress="deflate")
     migrate(root, fanout=1, compress="none")
     flat = ResultCache(root=root, memory=False)
     assert flat.depth == 1
@@ -293,10 +278,11 @@ def test_pack_index_invalidates_on_writes_and_prune(tmp_path, results):
 def test_suiteframe_open_dir_same_with_and_without_index(tmp_path, results):
     from repro.analysis.suite import SuiteFrame
 
-    cache = ResultCache(root=str(tmp_path), fanout=2, compress="deflate")
+    cache = ResultCache(root=str(tmp_path), fanout=2)
     keys = ["%02x" % (7 * i + 1) * 32 for i in range(len(results))]
     for key, res in zip(keys, results):
         cache.put(key, res)
+    migrate(str(tmp_path), fanout=2, compress="deflate")
     fast = SuiteFrame.open_dir(str(tmp_path))
     slow = SuiteFrame.from_cache(cache, keys=cache.keys())
     assert fast.keys == slow.keys == sorted(keys)
@@ -307,8 +293,8 @@ def test_suiteframe_open_dir_same_with_and_without_index(tmp_path, results):
 
 
 def test_disk_usage_counts_compressed_blobs(tmp_path, result):
-    cache = ResultCache(root=str(tmp_path), fanout=2, compress="deflate")
-    cache.put("21" * 32, result)
+    ResultCache(root=str(tmp_path), fanout=2).put("21" * 32, result)
+    migrate(str(tmp_path), fanout=2, compress="deflate")
     usage = disk_usage(str(tmp_path))
     assert usage.entries == 1
     assert usage.compressed_blobs == 1
@@ -329,3 +315,56 @@ def test_layout_marker_ignores_garbage(tmp_path):
     assert store_depth(str(tmp_path)) == 1
     (tmp_path / ".layout.json").write_text(json.dumps({"depth": 9}))
     assert store_depth(str(tmp_path)) == 1
+
+
+# ---------------------------------------------------------------------------
+# a damaged layout marker
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "marker",
+    [
+        b'{"depth": 2',
+        b"\x00not json",
+        b"[" * 200_000,
+        b'{"depth": 7}',
+        b'{"depth": 1e999}',
+    ],
+    ids=["truncated", "non_json", "deep_nesting", "depth_7", "depth_overflow"],
+)
+def test_corrupt_layout_marker_keeps_the_store_readable(
+    tmp_path, results, marker
+):
+    """A damaged ``.layout.json`` only changes the depth new writes go
+    to: reads probe both depths, and ``cache migrate`` rewrites it."""
+    from repro.analysis.suite import SuiteFrame
+    from repro.cli import main
+
+    root = str(tmp_path)
+    keys = ["%02x" % (16 * i + 3) * 32 for i in range(len(results))]
+    cache = ResultCache(root=root, fanout=2)
+    for key, res in zip(keys, results):
+        cache.put(key, res)
+    want = dict(zip(keys, results))
+    (tmp_path / ".layout.json").write_bytes(marker)
+
+    def assert_readable(root, want):
+        reader = ResultCache(root=root, memory=False)
+        for key, res in want.items():
+            assert result_bytes(reader.get(key)) == result_bytes(res)
+        frame = SuiteFrame.open_dir(root)
+        assert frame.keys == sorted(want)
+        for i, key in enumerate(frame.keys):
+            assert frame.trace(i).tobytes() == want[key].trace.array().tobytes()
+            assert frame.column("energy_j")[i] == want[key].energy_j
+
+    assert_readable(root, want)
+    writer = ResultCache(root=root, memory=False)
+    assert writer.depth == 1  # the legacy default
+    writer.put("ee" * 32, results[0])
+    want["ee" * 32] = results[0]
+    assert_readable(root, want)
+
+    assert main(["cache", "migrate", "--cache-dir", root, "--fanout", "2"]) == 0
+    assert json.loads((tmp_path / ".layout.json").read_bytes()) == {"depth": 2}
+    assert store_depth(root) == 2
+    assert_readable(root, want)

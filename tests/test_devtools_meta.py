@@ -9,8 +9,6 @@ import json
 import os
 import textwrap
 
-import pytest
-
 import repro
 from repro.devtools import LintConfig, all_rule_classes, lint_paths
 from repro.devtools.cli import main

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from repro.runner import (
     cached_build_models,
     disk_usage,
     load_trace_blob,
+    migrate,
     model_fingerprint,
     models_key,
     models_to_payload,
@@ -155,31 +157,66 @@ def test_format1_entry_is_a_miss_that_prune_evicts(tmp_path, workload, result):
     assert not os.path.exists(json_path)
 
 
-def test_mmap_read_back_is_identical(tmp_path, workload, result):
-    cache = ResultCache(root=str(tmp_path), memory=False)
-    key = spec_key(RunSpec(workload=workload, mode=ThermalMode.NO_FAN))
-    cache.put(key, result)
-    mapped = ResultCache(root=str(tmp_path), memory=False, mmap=True).get(key)
-    assert mapped is not None
-    assert result_bytes(mapped) == result_bytes(result)
-    # the trace matrix really is file-backed
-    base = mapped.trace.array()
-    while not isinstance(base, np.memmap) and getattr(base, "base", None) is not None:
-        base = base.base
-    assert isinstance(base, np.memmap)
-
-
 def test_corrupt_blob_is_a_miss(tmp_path, workload, result):
     cache = ResultCache(root=str(tmp_path), memory=False)
     key = spec_key(RunSpec(workload=workload, mode=ThermalMode.NO_FAN))
     cache.put(key, result)
     _, blob_path = _entry_paths(tmp_path, key)
-    for damaged in (b"not an npz", b""):  # a zero-byte blob hits EOF
+    # the member's central-directory flag bits marked encrypted: zipfile
+    # raises RuntimeError (password required) on the intact trace bytes
+    encrypted = bytearray(trace_blob_bytes(result))
+    encrypted[encrypted.rfind(b"PK\x01\x02") + 8] |= 1
+    for damaged in (b"not an npz", b"", bytes(encrypted)):  # b"" hits EOF
         with open(blob_path, "wb") as fh:
             fh.write(damaged)
-        for mmap in (False, True):
-            reader = ResultCache(root=str(tmp_path), memory=False, mmap=mmap)
-            assert reader.get(key) is None, (damaged, mmap)
+        reader = ResultCache(root=str(tmp_path), memory=False)
+        assert reader.get(key) is None, damaged[:16]
+
+
+@pytest.mark.parametrize("codec", ["plain", "deflate"])
+def test_damaged_blob_is_never_a_wrong_trace(tmp_path, codec):
+    """Overwrite 1-5 random bytes of a stored 2 s trace blob, 500 times:
+    every read misses or raises ``SimulationError``, or returns the
+    original trace -- never a wrong one.  The zip CRC-32 guards a plain
+    blob's member and zlib's checksum a deflated blob.  The readers pass
+    ``mmap=True``, the ignored flag callers may still set."""
+    root = str(tmp_path)
+    short = ParallelRunner().run_one(
+        RunSpec(
+            workload=synthesize("medium", 2.0, threads=1, seed=7),
+            mode=ThermalMode.NO_FAN,
+        )
+    )
+    want, matrix = result_bytes(short), short.trace.array()
+    key = "5a" * 32
+    ResultCache(root=root, memory=False).put(key, short)
+    suffix = ".npz"
+    if codec == "deflate":
+        migrate(root, fanout=1, compress="deflate")
+        suffix = ".npz.z"
+    blob_path = os.path.join(root, key[:2], key + suffix)
+    with open(blob_path, "rb") as fh:
+        pristine = fh.read()
+    rng = random.Random(codec)
+    wrong = []
+    for trial in range(500):
+        damaged = bytearray(pristine)
+        for _ in range(rng.randint(1, 5)):
+            damaged[rng.randrange(len(damaged))] = rng.randrange(256)
+        with open(blob_path, "wb") as fh:
+            fh.write(damaged)
+        reader = ResultCache(root=root, memory=False, mmap=True)
+        hit = reader.get(key)
+        if hit is not None and result_bytes(hit) != want:
+            wrong.append(("get", trial))
+        try:
+            trace = reader.open_trace(key)
+        except SimulationError as exc:
+            assert key in str(exc)
+            continue
+        if trace.shape != matrix.shape or trace.tobytes() != matrix.tobytes():
+            wrong.append(("open_trace", trial))
+    assert wrong == []
 
 
 def test_disk_usage_and_prune(tmp_path, workload, result):
@@ -241,31 +278,22 @@ def test_read_touches_entry_and_prune_is_lru(tmp_path, workload, result):
     assert os.path.getmtime(paths[0]) > stamp - 500.0
 
 
-def test_prune_with_open_memmap_reader(tmp_path, workload, result):
-    """Evicting an entry must not strand a reader holding its memory map.
-
-    Deletion goes blob-before-summary with per-file error tolerance, so a
-    reader that already mapped the blob keeps its data (POSIX unlink
-    semantics), a reader arriving mid-eviction sees a clean miss, and the
-    prune itself always completes.
-    """
-    cache = ResultCache(root=str(tmp_path), memory=False, mmap=True)
+def test_prune_keeps_a_read_result_and_fresh_readers_miss(
+    tmp_path, workload, result
+):
+    """Evicting an entry leaves a result read before the prune intact,
+    the prune always completes, and a fresh reader sees a clean miss."""
+    cache = ResultCache(root=str(tmp_path), memory=False)
     key = spec_key(RunSpec(workload=workload, mode=ThermalMode.NO_FAN))
     cache.put(key, result)
-    mapped = cache.get(key)
-    base = mapped.trace.array()
-    while not isinstance(base, np.memmap) and getattr(base, "base", None) is not None:
-        base = base.base
-    assert isinstance(base, np.memmap)  # the reader really holds a map
+    held = cache.get(key)
 
     removed, freed = prune(str(tmp_path), max_bytes=None)
     assert removed == 1 and freed > 0
     assert disk_usage(str(tmp_path)).entries == 0
     assert disk_usage(str(tmp_path)).orphan_blobs == 0
 
-    # the open map still serves the evicted entry's data...
-    assert result_bytes(mapped) == result_bytes(result)
-    # ...and a fresh reader sees a clean miss
+    assert result_bytes(held) == result_bytes(result)
     assert ResultCache(root=str(tmp_path), memory=False).get(key) is None
 
 

@@ -138,16 +138,21 @@ def test_identical_inflight_requests_coalesce(service, monkeypatch):
 
 
 def test_malformed_payloads_get_structured_400(service):
-    # not even JSON
-    req = urllib.request.Request(
-        service.url + "/v1/runs", data=b"{nope",
-        headers={"Content-Type": "application/json"},
-    )
-    with pytest.raises(urllib.error.HTTPError) as err:
-        urllib.request.urlopen(req, timeout=30)
-    assert err.value.code == 400
-    body = json.loads(err.value.read())
-    assert body["error"]["type"] == "invalid_json"
+    # not even JSON, or JSON nested past the parser's recursion limit
+    for path, data in [
+        ("/v1/runs", b"{nope"),
+        ("/v1/runs", b"[" * 200_000),
+        ("/v1/matrix", b"[" * 200_000),
+    ]:
+        req = urllib.request.Request(
+            service.url + path, data=data,
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req, timeout=30)
+        assert err.value.code == 400, path
+        body = json.loads(err.value.read())
+        assert body["error"]["type"] == "invalid_json", path
 
     # JSON, but not a schema-1 spec
     for payload, fragment in [

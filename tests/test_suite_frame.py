@@ -1,7 +1,9 @@
 """Suite analytics core: columnar frames over many (cached) runs."""
 
+import io
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -128,21 +130,85 @@ def test_open_dir_matches_in_memory_results(populated):
 
 def test_open_dir_never_loads_blobs_eagerly(populated, monkeypatch):
     root, _, results = populated
-    # the eager fallback is np.load; a memmap-only read path never calls it
     import repro.runner.cache as cache_mod
 
-    def _forbid(*args, **kwargs):
-        raise AssertionError("suite reduction loaded a trace blob eagerly")
+    decoded = []
+    decode = cache_mod.trace_from_npz_bytes
 
-    monkeypatch.setattr(cache_mod.np, "load", _forbid)
+    def counting_decode(raw):
+        decoded.append(len(raw))
+        return decode(raw)
+
+    monkeypatch.setattr(cache_mod, "trace_from_npz_bytes", counting_decode)
     frame = SuiteFrame.open_dir(root)
     # summary-only access touches no blob at all
     assert frame.column("average_platform_power_w").shape == (len(results),)
     assert all(t is None for t in frame._traces)
-    # reductions pull the trace in as a memory map, not an eager read
+    assert decoded == []
+    # each trace is decoded once, on first touch
+    first = frame.trace(0)
+    assert len(decoded) == 1
     stab = frame.stability()
     assert stab["peak_c"].shape == (len(results),)
-    assert isinstance(frame.trace(0), np.memmap)
+    assert len(decoded) == len(results)
+    frame.stability()
+    assert frame.trace(0) is first
+    assert len(decoded) == len(results)
+
+
+def test_damaged_trace_blob_is_a_typed_error(populated, tmp_path, capsys):
+    """A missing or damaged trace blob raises ``SimulationError`` naming
+    its key -- from ``open_trace``, ``SuiteFrame.trace`` and ``suite
+    summarize`` (exit 2) -- not a raw ``BadZipFile``, ``KeyError`` or
+    ``zlib.error``."""
+    import zipfile
+
+    from repro.cli import main
+    from repro.runner import migrate
+
+    def no_member(raw):
+        with zipfile.ZipFile(io.BytesIO(raw)) as zf:
+            npy = zf.read("data.npy")
+        out = io.BytesIO()
+        with zipfile.ZipFile(out, "w") as zf:
+            zf.writestr("other.npy", npy)
+        return out.getvalue()
+
+    def flip_middle(raw):  # inside the trace data: a CRC mismatch
+        mid = len(raw) // 2
+        return raw[:mid] + bytes([raw[mid] ^ 0xFF]) + raw[mid + 1:]
+
+    damages = {
+        "missing": None,
+        "not_a_zip": lambda raw: b"not an npz",
+        "no_member": no_member,
+        "bad_crc": flip_middle,
+        "truncated_deflate": lambda raw: raw[: len(raw) // 2],
+    }
+    source, _, _ = populated
+    for name, damage in damages.items():
+        root = str(tmp_path / name)
+        shutil.copytree(source, root)
+        if name == "truncated_deflate":
+            migrate(root, fanout=1, compress="deflate")
+        cache = ResultCache(root=root, memory=False)
+        key = cache.keys()[0]
+        blob = cache._find_blob(key)
+        if damage is None:
+            os.unlink(blob)
+        else:
+            with open(blob, "rb") as fh:
+                raw = fh.read()
+            with open(blob, "wb") as fh:
+                fh.write(damage(raw))
+        with pytest.raises(SimulationError, match=key):
+            cache.open_trace(key)
+        frame = SuiteFrame.open_dir(root)
+        with pytest.raises(SimulationError, match=key):
+            frame.trace(frame.keys.index(key))
+        assert main(["suite", "summarize", "--cache-dir", root]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err, name
 
 
 def test_select_and_groupby(populated):
@@ -255,5 +321,6 @@ def test_cache_summary_iteration_api(populated):
         assert "rows" not in payload["trace"]  # summaries carry no trace
         assert os.path.exists(cache.trace_path(key))
     assert cache.load_summary("e" * 64) is None
-    blob = cache.open_trace(keys[0], mmap=True)
-    assert isinstance(blob, np.memmap)
+    meta = summaries[keys[0]]["trace"]
+    trace = cache.open_trace(keys[0])
+    assert trace.shape == (meta["length"], len(meta["columns"]))
