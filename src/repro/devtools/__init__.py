@@ -5,8 +5,8 @@ after the fact (see :mod:`repro.devtools.framework` for the machinery):
 
 * RPR01x :mod:`~repro.devtools.determinism` -- no unsanctioned entropy
   in the numeric layers,
-* RPR02x :mod:`~repro.devtools.cachekey` -- spec fields and pinned
-  numeric semantics stay coherent with the content keys,
+* RPR02x :mod:`~repro.devtools.cachekey` -- pinned numeric semantics
+  stay coherent with ``CACHE_FORMAT`` and so with the content keys,
 * RPR03x :mod:`~repro.devtools.parity` -- scalar/batch pairs registered
   and pinned, no batch-axis Python loops,
 * RPR04x :mod:`~repro.devtools.concurrency` -- ``guarded-by`` lock

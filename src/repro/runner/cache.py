@@ -138,18 +138,26 @@ def loads_json(raw: bytes) -> Any:
 
     ``json.loads`` raises ``RecursionError`` on nesting deeper than the
     interpreter's recursion limit, which a few hundred kilobytes of
-    ``[`` reach.  Summaries, frame files, wire frames and service
-    request bodies are all parsed here, so such a document is malformed
-    like any other: a ``json.JSONDecodeError``.
+    ``[`` reach, and bytes that are not UTF-8 fail before parsing starts.
+    Summaries, frame files, wire frames and service request bodies are
+    all parsed here, so either document is malformed like any other: a
+    ``json.JSONDecodeError``.
     """
-    text = raw.decode("utf-8")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        valid = raw[: exc.start].decode("utf-8")
+        raise json.JSONDecodeError(
+            "Invalid UTF-8 (%s)" % exc.reason, valid, len(valid)
+        ) from None
     try:
         return json.loads(text)
     except RecursionError:
         raise json.JSONDecodeError("JSON nested too deeply", text, 0) from None
 
 
-def _is_finite_number(value: Any) -> bool:
+def is_finite_number(value: Any) -> bool:
+    """Whether ``value`` is a finite JSON number (``bool`` is not one)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     try:
@@ -191,7 +199,7 @@ def is_summary(payload: Any) -> bool:
         and isinstance(payload.get("benchmark"), str)
         and isinstance(payload.get("mode"), str)
         and isinstance(payload.get("completed"), bool)
-        and all(_is_finite_number(payload.get(f)) for f in SUMMARY_FLOAT_FIELDS)
+        and all(is_finite_number(payload.get(f)) for f in SUMMARY_FLOAT_FIELDS)
         and all(_is_count(payload.get(f)) for f in SUMMARY_COUNT_FIELDS)
         and _is_str_list(payload.get("notes"))
         and isinstance(trace, dict)
@@ -1016,6 +1024,7 @@ def disk_usage(root: str) -> DiskUsage:
         usage.notes.append("directory does not exist")
         return usage
     json_names = set()
+    entries = set()
     for key, json_path, blob_path in _iter_entries(root):
         json_names.add(key)
         try:
@@ -1023,11 +1032,14 @@ def disk_usage(root: str) -> DiskUsage:
             blob_size = 0 if blob_path is None else os.path.getsize(blob_path)
         except FileNotFoundError:
             continue  # removed since the listing
-        usage.entries += 1
+        # a key held at both depths mid-migration is one entry, but both
+        # copies stay on disk until the pass ends, so both count in bytes
+        entries.add(key)
         usage.result_bytes += size
         usage.blob_bytes += blob_size
         if blob_path is not None and blob_path.endswith(DEFLATE_BLOB_SUFFIX):
             usage.compressed_blobs += 1
+    usage.entries = len(entries)
     # blobs whose summary never landed (interrupted writers)
     for path in _iter_orphan_blobs(root, json_names):
         try:

@@ -1,32 +1,40 @@
 """Versioned JSON wire schema for :class:`RunSpec` and :class:`ExperimentMatrix`.
 
-Until now specs were constructor-only dataclasses: every consumer had to
-import the package and build them in-process.  This module gives them a
-canonical, versioned rendering (``"schema": 1``) that travels as plain
-JSON -- the contract of the evaluation service (:mod:`repro.service`),
-the CLI's grid construction and any out-of-process client.
+Specs and grids travel as plain JSON in a canonical, versioned rendering
+(``"schema": 1``): the contract of the evaluation service
+(:mod:`repro.service`), the distributed runner, the CLI's grid
+construction and any out-of-process client.
+
+One field walk, :func:`_to_wire` and :func:`_from_wire`, carries every
+dataclass on the wire through its fields in declaration order, so no
+field can be left out.  A field travels as its value unless its class's
+table in :data:`_CODECS` names it: a registered benchmark as its name, a
+mode as its ``.value``, a tuple as an array, a nested dataclass as an
+object, the leakage map keyed by resource value and a ``(workload,
+mode)`` schedule pair as ``{"workload", "mode"}``.  Every other field is
+a scalar, checked against its declared type.
 
 The round trip is **lossless by value**: ``spec_from_wire(spec_to_wire(s))``
-reconstructs a spec that compares equal to ``s`` field for field, so its
-content key (:func:`repro.runner.spec.spec_key`) is *identical* -- wire
-transport never invalidates a cache entry.  Workloads that match a
-registered Table-6.4 benchmark by value compress to their name on the
-wire (and resolve back through :func:`get_benchmark`); custom traces
-travel inline with their phase lists.
+compares equal to ``s``, so its content key
+(:func:`repro.runner.spec.spec_key`) is *identical* -- wire transport
+never invalidates a cache entry.
 
-Decoding is strict: unknown keys, missing required fields and malformed
-structures raise :class:`~repro.errors.WireError` (a
-:class:`ConfigurationError`) with the offending path in the message, so
-the service can answer malformed payloads with a structured 400 instead
-of a stack trace.  Domain validation (positive durations, known modes,
-guard-band applicability) stays where it always was -- in the dataclass
-``__post_init__`` -- and surfaces as :class:`ConfigurationError` too.
+Decoding is strict.  Unknown keys, missing required fields, malformed
+structures and ill-typed scalars (``int`` takes a JSON integer,
+``float`` a finite number -- an integer stays an integer -- ``str`` a
+string, ``Optional`` also ``null``, and ``bool`` is never a number)
+raise :class:`~repro.errors.WireError` naming the path, e.g.
+``spec.config.seed``, so the service answers a structured 400.  Domain
+validation stays in the dataclasses' ``__post_init__`` and surfaces as
+:class:`ConfigurationError`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Iterable, Optional, Tuple
+import operator
+import typing
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.config import SimulationConfig
 from repro.errors import WireError, WorkloadError
@@ -38,6 +46,7 @@ from repro.platform.specs import (
     Resource,
     VoltageCurve,
 )
+from repro.runner.cache import is_finite_number
 from repro.runner.spec import ExperimentMatrix, RunSpec
 from repro.sim.engine import ThermalMode
 from repro.workloads.benchmarks import get_benchmark
@@ -47,6 +56,11 @@ from repro.workloads.trace import WorkloadPhase, WorkloadTrace
 #: when a field changes meaning; decoding rejects any other value, so a
 #: client and server never silently disagree about a payload's shape.
 WIRE_SCHEMA = 1
+
+#: How one field (or array element) travels: ``encode(value)`` gives its
+#: JSON form, ``decode(obj, where)`` checks ``obj`` and rebuilds the value
+#: (``where`` is the path named in a :class:`WireError`).
+Codec = Tuple[Callable[[Any], Any], Callable[[Any, str], Any]]
 
 _MODES: Dict[str, ThermalMode] = {m.value: m for m in ThermalMode}
 _RESOURCES: Dict[str, Resource] = {r.value: r for r in Resource}
@@ -68,13 +82,164 @@ def _require_list(obj: Any, where: str) -> list:
     return list(obj)
 
 
-def _reject_unknown(payload: dict, known: Iterable[str], where: str) -> None:
-    unknown = sorted(set(payload) - set(known))
-    if unknown:
+# ---------------------------------------------------------------------------
+# the field walk
+# ---------------------------------------------------------------------------
+class _Walk:
+    """One wire dataclass's fields and codecs, resolved once at import.
+
+    ``fields`` holds ``(name, encode, decode, accepts)`` in declaration
+    order.  A scalar field's ``accepts`` is its type check, and its
+    ``decode`` runs only to report a value that fails it; every other
+    field has ``accepts`` None and decodes through its codec.
+    """
+
+    def __init__(self, cls: type, table: Dict[str, Codec]) -> None:
+        hints = typing.get_type_hints(cls)
+        fields = dataclasses.fields(cls)
+        walk: List[Tuple[Any, ...]] = []
+        for f in fields:
+            if f.name in table:
+                walk.append((f.name,) + table[f.name] + (None,))
+                continue
+            try:
+                accepts, _ = _scalar_accepts(hints[f.name])
+            except (KeyError, ValueError):
+                raise TypeError(
+                    "%s.%s is not an int, float or str; give it a wire "
+                    "codec in _CODECS" % (cls.__name__, f.name)
+                ) from None
+            walk.append((f.name,) + _scalar(hints[f.name]) + (accepts,))
+        self.fields: Tuple[Tuple[Any, ...], ...] = tuple(walk)
+        self.names: FrozenSet[str] = frozenset(f.name for f in fields)
+        self.required: FrozenSet[str] = frozenset(
+            f.name
+            for f in fields
+            if f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING
+        )
+
+
+#: Filled from :data:`_CODECS` below.
+_WALKS: Dict[type, _Walk] = {}
+
+
+def _to_wire(obj: Any) -> dict:
+    """A wire dataclass as a JSON object, fields in declaration order."""
+    return {
+        name: encode(getattr(obj, name))
+        for name, encode, _, _ in _WALKS[type(obj)].fields
+    }
+
+
+def _from_wire(cls: type, obj: Any, where: str) -> Any:
+    """A ``cls`` from its checked wire object; omitted fields default."""
+    payload = _require_mapping(obj, where)
+    walk = _WALKS[cls]
+    if not walk.names.issuperset(payload):
         raise WireError(
             "%s has unknown field(s) %s (schema %d knows %s)"
-            % (where, ", ".join(unknown), WIRE_SCHEMA, ", ".join(sorted(known)))
+            % (where, ", ".join(sorted(payload.keys() - walk.names)),
+               WIRE_SCHEMA, ", ".join(sorted(walk.names)))
         )
+    if not payload.keys() >= walk.required:
+        raise WireError(
+            "%s is missing required field(s) %s"
+            % (where, ", ".join(sorted(walk.required - payload.keys())))
+        )
+    kwargs: Dict[str, Any] = {}
+    for name, _, decode, accepts in walk.fields:
+        if name in payload:
+            value = payload[name]
+            if accepts is None or not accepts(value):
+                value = decode(value, where + "." + name)
+            kwargs[name] = value
+    return cls(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# codecs
+# ---------------------------------------------------------------------------
+def _plain(value: Any) -> Any:
+    return value
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str(value: Any) -> bool:
+    return isinstance(value, str)
+
+
+#: The JSON values a scalar of each declared type takes.
+_SCALAR_CHECKS: Dict[Any, Tuple[Callable[[Any], bool], str]] = {
+    int: (_is_int, "an integer"),
+    float: (is_finite_number, "a finite number"),
+    str: (_is_str, "a string"),
+}
+
+
+def _scalar_accepts(hint: Any) -> Tuple[Callable[[Any], bool], str]:
+    """The check of a scalar of declared type ``hint``, and its wording."""
+    if typing.get_origin(hint) is not typing.Union:
+        return _SCALAR_CHECKS[hint]
+    (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+    accepts, what = _SCALAR_CHECKS[hint]
+
+    def accepts_optional(obj: Any) -> bool:
+        return obj is None or accepts(obj)
+
+    return accepts_optional, what + " or null"
+
+
+def _scalar(hint: Any) -> Codec:
+    """The codec of a scalar of declared type ``hint`` (``Optional`` ok)."""
+    accepts, what = _scalar_accepts(hint)
+
+    def decode(obj: Any, where: str) -> Any:
+        if accepts(obj):
+            return obj
+        raise WireError("%s must be %s, got %r" % (where, what, obj))
+
+    return _plain, decode
+
+
+def _optional(codec: Codec) -> Codec:
+    encode, decode = codec
+
+    def encode_optional(value: Any) -> Any:
+        return None if value is None else encode(value)
+
+    def decode_optional(obj: Any, where: str) -> Any:
+        return None if obj is None else decode(obj, where)
+
+    return encode_optional, decode_optional
+
+
+def _array(item: Codec) -> Codec:
+    """A tuple as a JSON array of ``item``-coded elements."""
+    encode, decode = item
+
+    def encode_array(values: Any) -> list:
+        return [encode(v) for v in values]
+
+    def decode_array(obj: Any, where: str) -> tuple:
+        return tuple(
+            decode(v, "%s[%d]" % (where, i))
+            for i, v in enumerate(_require_list(obj, where))
+        )
+
+    return encode_array, decode_array
+
+
+def _record(cls: type) -> Codec:
+    """A nested wire dataclass as a JSON object (the field walk)."""
+
+    def decode(obj: Any, where: str) -> Any:
+        return _from_wire(cls, obj, where)
+
+    return _to_wire, decode
 
 
 def _mode_from_wire(obj: Any, where: str) -> ThermalMode:
@@ -85,43 +250,6 @@ def _mode_from_wire(obj: Any, where: str) -> ThermalMode:
             "%s must be one of %s, got %r"
             % (where, ", ".join(sorted(_MODES)), obj)
         ) from None
-
-
-def _dataclass_defaults(cls: type) -> Dict[str, object]:
-    out = {}
-    for f in dataclasses.fields(cls):
-        if f.default is not dataclasses.MISSING:
-            out[f.name] = f.default
-    return out
-
-
-def _scalars_to_wire(obj: Any) -> dict:
-    """Flat dataclass (scalar fields only) -> plain field dict."""
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-
-
-def _scalars_from_wire(cls: type, obj: Any, where: str) -> Any:
-    payload = _require_mapping(obj, where)
-    names = [f.name for f in dataclasses.fields(cls)]
-    _reject_unknown(payload, names, where)
-    required = [
-        f.name
-        for f in dataclasses.fields(cls)
-        if f.default is dataclasses.MISSING
-        and f.default_factory is dataclasses.MISSING
-    ]
-    missing = sorted(set(required) - set(payload))
-    if missing:
-        raise WireError(
-            "%s is missing required field(s) %s" % (where, ", ".join(missing))
-        )
-    return cls(**payload)
-
-
-# ---------------------------------------------------------------------------
-# workloads
-# ---------------------------------------------------------------------------
-_WORKLOAD_FIELDS = [f.name for f in dataclasses.fields(WorkloadTrace)]
 
 
 def workload_to_wire(workload: WorkloadTrace) -> Any:
@@ -136,9 +264,7 @@ def workload_to_wire(workload: WorkloadTrace) -> Any:
             return workload.name
     except WorkloadError:
         pass
-    payload = _scalars_to_wire(workload)
-    payload["phases"] = [_scalars_to_wire(p) for p in workload.phases]
-    return payload
+    return _to_wire(workload)
 
 
 def workload_from_wire(obj: Any, where: str = "workload") -> WorkloadTrace:
@@ -148,233 +274,30 @@ def workload_from_wire(obj: Any, where: str = "workload") -> WorkloadTrace:
             return get_benchmark(obj)
         except WorkloadError as exc:
             raise WireError("%s: %s" % (where, exc)) from None
-    payload = dict(_require_mapping(obj, where))
-    _reject_unknown(payload, _WORKLOAD_FIELDS, where)
-    phases = tuple(
-        _scalars_from_wire(
-            WorkloadPhase, p, "%s.phases[%d]" % (where, i)
-        )
-        for i, p in enumerate(_require_list(
-            payload.pop("phases", []), where + ".phases"
-        ))
-    )
-    missing = sorted(
-        {"name", "category", "benchmark_type", "threads",
-         "total_work_gcycles"} - set(payload)
-    )
-    if missing:
-        raise WireError(
-            "%s is missing required field(s) %s" % (where, ", ".join(missing))
-        )
-    return WorkloadTrace(phases=phases, **payload)
+    return _from_wire(WorkloadTrace, obj, where)
 
 
-# ---------------------------------------------------------------------------
-# configuration and platform
-# ---------------------------------------------------------------------------
-def config_to_wire(config: Optional[SimulationConfig]) -> Optional[dict]:
-    return None if config is None else _scalars_to_wire(config)
-
-
-def config_from_wire(obj: Any, where: str = "config") -> Optional[SimulationConfig]:
-    if obj is None:
-        return None
-    return _scalars_from_wire(SimulationConfig, obj, where)
-
-
-def _opp_to_wire(table: OppTable) -> dict:
+def _leakage_to_wire(leakage: Dict[Resource, LeakageSpec]) -> dict:
     return {
-        "name": table.name,
-        "frequencies_hz": list(table.frequencies_hz),
-        "voltage_curve": _scalars_to_wire(table.voltage_curve),
+        resource.value: _to_wire(spec)
+        for resource, spec in sorted(
+            leakage.items(), key=lambda kv: kv[0].value
+        )
     }
 
 
-def _opp_from_wire(obj: Any, where: str) -> OppTable:
-    payload = _require_mapping(obj, where)
-    _reject_unknown(
-        payload, ("name", "frequencies_hz", "voltage_curve"), where
-    )
-    try:
-        name = payload["name"]
-        freqs = payload["frequencies_hz"]
-        curve = payload["voltage_curve"]
-    except KeyError as exc:
-        raise WireError("%s is missing field %s" % (where, exc)) from None
-    return OppTable(
-        name=name,
-        frequencies_hz=tuple(_require_list(freqs, where + ".frequencies_hz")),
-        voltage_curve=_scalars_from_wire(
-            VoltageCurve, curve, where + ".voltage_curve"
-        ),
-    )
-
-
-def platform_to_wire(platform: Optional[PlatformSpec]) -> Optional[dict]:
-    if platform is None:
-        return None
-    return {
-        "big_opp": _opp_to_wire(platform.big_opp),
-        "little_opp": _opp_to_wire(platform.little_opp),
-        "gpu_opp": _opp_to_wire(platform.gpu_opp),
-        "big_core": _scalars_to_wire(platform.big_core),
-        "little_core": _scalars_to_wire(platform.little_core),
-        "gpu_capacitance_f": platform.gpu_capacitance_f,
-        "mem_full_traffic_w": platform.mem_full_traffic_w,
-        "mem_vdd": platform.mem_vdd,
-        "leakage": {
-            resource.value: _scalars_to_wire(spec)
-            for resource, spec in sorted(
-                platform.leakage.items(), key=lambda kv: kv[0].value
-            )
-        },
-        "platform_static_power_w": platform.platform_static_power_w,
-        "fan_power_w": list(platform.fan_power_w),
-        "fan_conductance_gain": list(platform.fan_conductance_gain),
-        "cores_per_cluster": platform.cores_per_cluster,
-    }
-
-
-_PLATFORM_FIELDS = [f.name for f in dataclasses.fields(PlatformSpec)]
-
-
-def platform_from_wire(obj: Any, where: str = "platform") -> Optional[PlatformSpec]:
-    if obj is None:
-        return None
-    payload = dict(_require_mapping(obj, where))
-    _reject_unknown(payload, _PLATFORM_FIELDS, where)
-    kwargs = {}
-    for name in ("big_opp", "little_opp", "gpu_opp"):
-        if name in payload:
-            kwargs[name] = _opp_from_wire(
-                payload.pop(name), "%s.%s" % (where, name)
-            )
-    for name in ("big_core", "little_core"):
-        if name in payload:
-            kwargs[name] = _scalars_from_wire(
-                CoreSpec, payload.pop(name), "%s.%s" % (where, name)
-            )
-    if "leakage" in payload:
-        leakage = {}
-        for key, value in _require_mapping(
-            payload.pop("leakage"), where + ".leakage"
-        ).items():
-            if key not in _RESOURCES:
-                raise WireError(
-                    "%s.leakage key must be one of %s, got %r"
-                    % (where, ", ".join(sorted(_RESOURCES)), key)
-                )
-            leakage[_RESOURCES[key]] = _scalars_from_wire(
-                LeakageSpec, value, "%s.leakage[%s]" % (where, key)
-            )
-        kwargs["leakage"] = leakage
-    for name in ("fan_power_w", "fan_conductance_gain"):
-        if name in payload:
-            kwargs[name] = tuple(
-                _require_list(payload.pop(name), "%s.%s" % (where, name))
-            )
-    kwargs.update(payload)
-    return PlatformSpec(**kwargs)
-
-
-# ---------------------------------------------------------------------------
-# RunSpec
-# ---------------------------------------------------------------------------
-_SPEC_FIELDS = (
-    "schema", "workload", "mode", "config", "platform", "guard_band_k",
-    "warm_start_c", "max_duration_s", "seed", "history", "idle_gap_s",
-    "history_modes",
-)
-_SPEC_DEFAULTS = _dataclass_defaults(RunSpec)
-
-
-def _check_schema(payload: dict, where: str) -> None:
-    if "schema" not in payload:
-        raise WireError(
-            '%s is missing the "schema" version field (current: %d)'
-            % (where, WIRE_SCHEMA)
-        )
-    if payload["schema"] != WIRE_SCHEMA:
-        raise WireError(
-            "%s has unsupported schema %r (this build speaks %d)"
-            % (where, payload["schema"], WIRE_SCHEMA)
-        )
-
-
-def spec_to_wire(spec: RunSpec) -> dict:
-    """The canonical ``"schema": 1`` JSON rendering of one spec."""
-    return {
-        "schema": WIRE_SCHEMA,
-        "workload": workload_to_wire(spec.workload),
-        "mode": spec.mode.value,
-        "config": config_to_wire(spec.config),
-        "platform": platform_to_wire(spec.platform),
-        "guard_band_k": spec.guard_band_k,
-        "warm_start_c": spec.warm_start_c,
-        "max_duration_s": spec.max_duration_s,
-        "seed": spec.seed,
-        "history": [workload_to_wire(w) for w in spec.history],
-        "idle_gap_s": spec.idle_gap_s,
-        "history_modes": [m.value for m in spec.history_modes],
-    }
-
-
-def spec_from_wire(obj: Any, where: str = "spec") -> RunSpec:
-    """Decode one wire spec; the inverse of :func:`spec_to_wire`.
-
-    Only ``workload`` and ``mode`` are required beyond ``schema``; every
-    omitted field takes the :class:`RunSpec` default, so hand-written
-    payloads stay small.
-    """
-    payload = _require_mapping(obj, where)
-    _check_schema(payload, where)
-    _reject_unknown(payload, _SPEC_FIELDS, where)
-    for name in ("workload", "mode"):
-        if name not in payload:
+def _leakage_from_wire(obj: Any, where: str) -> Dict[Resource, LeakageSpec]:
+    leakage: Dict[Resource, LeakageSpec] = {}
+    for key, value in _require_mapping(obj, where).items():
+        if key not in _RESOURCES:
             raise WireError(
-                "%s is missing required field %r" % (where, name)
+                "%s key must be one of %s, got %r"
+                % (where, ", ".join(sorted(_RESOURCES)), key)
             )
-
-    def default(name: str) -> Any:
-        return payload.get(name, _SPEC_DEFAULTS[name])
-
-    return RunSpec(
-        workload=workload_from_wire(payload["workload"], where + ".workload"),
-        mode=_mode_from_wire(payload["mode"], where + ".mode"),
-        config=config_from_wire(default("config"), where + ".config"),
-        platform=platform_from_wire(
-            default("platform"), where + ".platform"
-        ),
-        guard_band_k=default("guard_band_k"),
-        warm_start_c=default("warm_start_c"),
-        max_duration_s=default("max_duration_s"),
-        seed=default("seed"),
-        history=tuple(
-            workload_from_wire(w, "%s.history[%d]" % (where, i))
-            for i, w in enumerate(
-                _require_list(default("history"), where + ".history")
-            )
-        ),
-        idle_gap_s=default("idle_gap_s"),
-        history_modes=tuple(
-            _mode_from_wire(m, "%s.history_modes[%d]" % (where, i))
-            for i, m in enumerate(
-                _require_list(
-                    default("history_modes"), where + ".history_modes"
-                )
-            )
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# ExperimentMatrix
-# ---------------------------------------------------------------------------
-_MATRIX_FIELDS = (
-    "schema", "workloads", "modes", "configs", "guard_bands_k", "platform",
-    "warm_start_c", "max_duration_s", "base_seed", "schedules", "idle_gap_s",
-)
-_MATRIX_DEFAULTS = _dataclass_defaults(ExperimentMatrix)
+        leakage[_RESOURCES[key]] = _from_wire(
+            LeakageSpec, value, "%s[%s]" % (where, key)
+        )
+    return leakage
 
 
 def _schedule_entry_to_wire(entry: Any) -> Any:
@@ -393,81 +316,97 @@ def _schedule_entry_from_wire(obj: Any, where: str) -> Any:
     return workload_from_wire(obj, where)
 
 
+_WORKLOAD: Codec = (workload_to_wire, workload_from_wire)
+_MODE: Codec = (operator.attrgetter("value"), _mode_from_wire)
+_FLOATS = _array(_scalar(float))
+_CONFIG = _optional(_record(SimulationConfig))
+_PLATFORM = _optional(_record(PlatformSpec))
+
+#: Per wire dataclass, the fields whose JSON form differs from their
+#: value.  Explicit on purpose: ``ExperimentMatrix.schedules`` holds
+#: ``(workload, mode)`` pairs that its type hint does not describe.
+_CODECS: Dict[type, Dict[str, Codec]] = {
+    WorkloadPhase: {},
+    WorkloadTrace: {"phases": _array(_record(WorkloadPhase))},
+    SimulationConfig: {},
+    VoltageCurve: {},
+    OppTable: {
+        "frequencies_hz": _FLOATS,
+        "voltage_curve": _record(VoltageCurve),
+    },
+    CoreSpec: {},
+    LeakageSpec: {},
+    PlatformSpec: {
+        "big_opp": _record(OppTable),
+        "little_opp": _record(OppTable),
+        "gpu_opp": _record(OppTable),
+        "big_core": _record(CoreSpec),
+        "little_core": _record(CoreSpec),
+        "leakage": (_leakage_to_wire, _leakage_from_wire),
+        "fan_power_w": _FLOATS,
+        "fan_conductance_gain": _FLOATS,
+    },
+    RunSpec: {
+        "workload": _WORKLOAD,
+        "mode": _MODE,
+        "config": _CONFIG,
+        "platform": _PLATFORM,
+        "history": _array(_WORKLOAD),
+        "history_modes": _array(_MODE),
+    },
+    ExperimentMatrix: {
+        "workloads": _array(_WORKLOAD),
+        "modes": _array(_MODE),
+        "configs": _array(_CONFIG),
+        "guard_bands_k": _array(_scalar(Optional[float])),
+        "platform": _PLATFORM,
+        "schedules": _array(
+            _array((_schedule_entry_to_wire, _schedule_entry_from_wire))
+        ),
+    },
+}
+_WALKS.update((cls, _Walk(cls, table)) for cls, table in _CODECS.items())
+
+
+# ---------------------------------------------------------------------------
+# versioned specs and grids
+# ---------------------------------------------------------------------------
+def _versioned_from_wire(cls: type, obj: Any, where: str) -> Any:
+    payload = dict(_require_mapping(obj, where))
+    if "schema" not in payload:
+        raise WireError(
+            '%s is missing the "schema" version field (current: %d)'
+            % (where, WIRE_SCHEMA)
+        )
+    schema = payload.pop("schema")
+    if schema != WIRE_SCHEMA:
+        raise WireError(
+            "%s has unsupported schema %r (this build speaks %d)"
+            % (where, schema, WIRE_SCHEMA)
+        )
+    return _from_wire(cls, payload, where)
+
+
+def spec_to_wire(spec: RunSpec) -> dict:
+    """The canonical ``"schema": 1`` JSON rendering of one spec."""
+    return {"schema": WIRE_SCHEMA, **_to_wire(spec)}
+
+
+def spec_from_wire(obj: Any, where: str = "spec") -> RunSpec:
+    """Decode one wire spec; the inverse of :func:`spec_to_wire`.
+
+    Only ``workload`` and ``mode`` are required beyond ``schema``; every
+    omitted field takes the :class:`RunSpec` default, so hand-written
+    payloads stay small.
+    """
+    return _versioned_from_wire(RunSpec, obj, where)
+
+
 def matrix_to_wire(matrix: ExperimentMatrix) -> dict:
     """The canonical ``"schema": 1`` JSON rendering of one grid."""
-    return {
-        "schema": WIRE_SCHEMA,
-        "workloads": [workload_to_wire(w) for w in matrix.workloads],
-        "modes": [m.value for m in matrix.modes],
-        "configs": [config_to_wire(c) for c in matrix.configs],
-        "guard_bands_k": list(matrix.guard_bands_k),
-        "platform": platform_to_wire(matrix.platform),
-        "warm_start_c": matrix.warm_start_c,
-        "max_duration_s": matrix.max_duration_s,
-        "base_seed": matrix.base_seed,
-        "schedules": [
-            [_schedule_entry_to_wire(entry) for entry in schedule]
-            for schedule in matrix.schedules
-        ],
-        "idle_gap_s": matrix.idle_gap_s,
-    }
+    return {"schema": WIRE_SCHEMA, **_to_wire(matrix)}
 
 
 def matrix_from_wire(obj: Any, where: str = "matrix") -> ExperimentMatrix:
     """Decode one wire grid; the inverse of :func:`matrix_to_wire`."""
-    payload = _require_mapping(obj, where)
-    _check_schema(payload, where)
-    _reject_unknown(payload, _MATRIX_FIELDS, where)
-
-    def default(name: str) -> Any:
-        return payload.get(name, _MATRIX_DEFAULTS[name])
-
-    modes: Tuple[ThermalMode, ...] = _MATRIX_DEFAULTS["modes"]
-    if "modes" in payload:
-        modes = tuple(
-            _mode_from_wire(m, "%s.modes[%d]" % (where, i))
-            for i, m in enumerate(
-                _require_list(payload["modes"], where + ".modes")
-            )
-        )
-    configs: Tuple[Optional[SimulationConfig], ...] = (None,)
-    if "configs" in payload:
-        configs = tuple(
-            config_from_wire(c, "%s.configs[%d]" % (where, i))
-            for i, c in enumerate(
-                _require_list(payload["configs"], where + ".configs")
-            )
-        )
-    return ExperimentMatrix(
-        workloads=tuple(
-            workload_from_wire(w, "%s.workloads[%d]" % (where, i))
-            for i, w in enumerate(
-                _require_list(default("workloads"), where + ".workloads")
-            )
-        ),
-        modes=modes,
-        configs=configs,
-        guard_bands_k=tuple(
-            _require_list(default("guard_bands_k"), where + ".guard_bands_k")
-        ),
-        platform=platform_from_wire(default("platform"), where + ".platform"),
-        warm_start_c=default("warm_start_c"),
-        max_duration_s=default("max_duration_s"),
-        base_seed=default("base_seed"),
-        schedules=tuple(
-            tuple(
-                _schedule_entry_from_wire(
-                    entry, "%s.schedules[%d][%d]" % (where, i, j)
-                )
-                for j, entry in enumerate(
-                    _require_list(
-                        schedule, "%s.schedules[%d]" % (where, i)
-                    )
-                )
-            )
-            for i, schedule in enumerate(
-                _require_list(default("schedules"), where + ".schedules")
-            )
-        ),
-        idle_gap_s=default("idle_gap_s"),
-    )
+    return _versioned_from_wire(ExperimentMatrix, obj, where)

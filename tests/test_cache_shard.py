@@ -207,6 +207,7 @@ def test_migrate_resumes_after_interruption(tmp_path, result):
     mid = ResultCache(root=root, memory=False)
     assert mid.keys() == [key]
     assert len(mid) == 1
+    assert disk_usage(root).entries == 1
     stats = migrate(root, fanout=2)
     assert stats.cleaned == 2  # the two leftover flat copies
     assert not os.path.exists(os.path.join(root, key[:2], key + ".json"))

@@ -138,11 +138,14 @@ def test_identical_inflight_requests_coalesce(service, monkeypatch):
 
 
 def test_malformed_payloads_get_structured_400(service):
-    # not even JSON, or JSON nested past the parser's recursion limit
+    # not even JSON, JSON nested past the parser's recursion limit, or
+    # bytes that are not UTF-8
     for path, data in [
         ("/v1/runs", b"{nope"),
         ("/v1/runs", b"[" * 200_000),
         ("/v1/matrix", b"[" * 200_000),
+        ("/v1/runs", b"\xff\xfe{"),
+        ("/v1/matrix", b"\xff\xfe{"),
     ]:
         req = urllib.request.Request(
             service.url + path, data=data,
@@ -154,15 +157,23 @@ def test_malformed_payloads_get_structured_400(service):
         body = json.loads(err.value.read())
         assert body["error"]["type"] == "invalid_json", path
 
-    # JSON, but not a schema-1 spec
-    for payload, fragment in [
-        ({"workload": "dijkstra", "mode": "dtpm"}, "schema"),
-        ({"schema": 1, "workload": "dijkstra", "mode": "x"}, "mode"),
-        ({"schema": 1, "workload": "dijkstra", "mode": "dtpm",
-          "bogus": 1}, "bogus"),
+    # JSON, but not a schema-1 spec: a scalar of the wrong type is
+    # refused here, not by the job that would run it
+    run = {"schema": 1, "workload": "dijkstra", "mode": "dtpm"}
+    for path, payload, fragment in [
+        ("/v1/runs", {"workload": "dijkstra", "mode": "dtpm"}, "schema"),
+        ("/v1/runs", dict(run, mode="x"), "mode"),
+        ("/v1/runs", dict(run, bogus=1), "bogus"),
+        ("/v1/runs", dict(run, seed="abc"), "spec.seed"),
+        ("/v1/runs", dict(run, seed=1.5), "spec.seed"),
+        ("/v1/runs", dict(run, warm_start_c="hot"), "spec.warm_start_c"),
+        ("/v1/runs", dict(run, config={"seed": "x"}), "spec.config.seed"),
+        ("/v1/matrix", {"schema": 1, "workloads": ["dijkstra"],
+                        "guard_bands_k": ["x"]},
+         "matrix.guard_bands_k[0]"),
     ]:
-        status, body = _post(service, "/v1/runs", payload)
-        assert status == 400
+        status, body = _post(service, path, payload)
+        assert status == 400, payload
         assert body["error"]["type"] == "WireError"
         assert fragment in body["error"]["message"]
 
