@@ -22,7 +22,6 @@ import numpy as np
 from conftest import save_timing
 from repro.analysis.suite import SuiteFrame
 from repro.runner import ResultCache
-from repro.runner.cache import _write_layout_marker
 
 #: Synthetic store size; CI's benchmark smoke raises this to 100000.
 N_ENTRIES = int(os.environ.get("REPRO_SHARD_N", "20000") or "20000")
@@ -85,7 +84,6 @@ def _populate(root, n):
         with open(os.path.join(entry_dir, key + ".json"), "w") as fh:
             json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
         keys.append(key)
-    _write_layout_marker(root, 2)
     return sorted(keys)
 
 

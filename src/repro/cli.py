@@ -12,7 +12,6 @@ Subcommands::
     python -m repro.cli matrix             # benchmarks x modes grid
     python -m repro.cli cache stats        # inspect the result cache
     python -m repro.cli cache prune        # bound / empty the result cache
-    python -m repro.cli cache migrate      # reshard/recompress the store
     python -m repro.cli report             # cache-aware markdown report
     python -m repro.cli serve              # always-on evaluation service
     python -m repro.cli worker             # remote batch-execution worker
@@ -52,9 +51,9 @@ from repro.runner import (
     cached_build_models,
     default_cache_dir,
     disk_usage,
-    migrate,
     prune,
 )
+from repro.runner.cache import ORPHAN_GRACE_S
 from repro.sim.engine import ThermalMode
 from repro.sim.experiment import (
     compare_modes,
@@ -467,11 +466,12 @@ def _cmd_cache_stats(args) -> int:
     usage = disk_usage(root)
     print("cache at %s" % usage.root)
     print("  " + usage.summary())
-    if usage.orphan_blobs:
+    if usage.stray_files:
         print(
-            "  %d orphaned trace blob(s) (interrupted writers); "
-            "run `repro-dtpm cache prune --max-mb ...` to collect"
-            % usage.orphan_blobs
+            "  %d stray file(s), %.1f MiB: interrupted writes or an earlier "
+            "store version's layout, never read; `repro-dtpm cache prune` "
+            "removes those older than %.0f s"
+            % (usage.stray_files, usage.stray_bytes / 2**20, ORPHAN_GRACE_S)
         )
     for note in usage.notes:
         print("  note: %s" % note)
@@ -488,27 +488,6 @@ def _cmd_cache_prune(args) -> int:
         "pruned %d entr%s, freed %.1f MiB"
         % (removed, "y" if removed == 1 else "ies", freed / 2**20)
     )
-    print("  now: " + disk_usage(root).summary())
-    return 0
-
-
-def _cmd_cache_migrate(args) -> int:
-    root = _cache_root(args)
-    if root is None:
-        return 2
-    if not os.path.isdir(root):
-        print(
-            "error: no cache directory at %s (nothing to migrate)" % root,
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        stats = migrate(root, fanout=args.fanout, compress=args.compress)
-    except ConfigurationError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    print("migrated cache at %s to fanout=%d" % (root, args.fanout))
-    print("  " + stats.summary())
     print("  now: " + disk_usage(root).summary())
     return 0
 
@@ -700,24 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--all", action="store_true",
                        help="remove every result entry (models are kept)")
     p_cprune.set_defaults(func=_cmd_cache_prune)
-    p_cmig = cache_sub.add_parser(
-        "migrate",
-        help="reshard the store in place (copy-then-unlink per entry: "
-             "idempotent, interrupt-safe, readable throughout) and "
-             "optionally transcode trace blobs",
-    )
-    p_cmig.add_argument("--cache-dir", default=default_cache_dir(),
-                        help="cache directory (default: $REPRO_CACHE_DIR)")
-    p_cmig.add_argument("--fanout", type=int, choices=(1, 2), default=2,
-                        help="target shard depth: 2 = <root>/ab/cd/ "
-                             "(default, scales to ~100k+ entries), "
-                             "1 = the flat <root>/ab/ layout")
-    p_cmig.add_argument("--compress", default=None,
-                        choices=("deflate", "none"),
-                        help="transcode trace blobs: deflate (stdlib zlib, "
-                             "~3x smaller) or none (plain npz); default "
-                             "keeps each blob as-is")
-    p_cmig.set_defaults(func=_cmd_cache_migrate)
 
     p_rep = sub.add_parser(
         "report",

@@ -72,6 +72,8 @@ class SimulationConfig:
             raise ConfigurationError("prediction horizon must be >= 1 step")
         if not 1 <= self.min_big_cores <= 4:
             raise ConfigurationError("min_big_cores must be in 1..4")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0, got %r" % self.seed)
 
     @property
     def substeps_per_control(self) -> int:

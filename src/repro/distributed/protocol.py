@@ -43,7 +43,12 @@ from repro.runner.cache import (
     trace_blob_bytes,
     trace_from_npz_bytes,
 )
-from repro.runner.wire import WIRE_SCHEMA, spec_from_wire, spec_to_wire
+from repro.runner.wire import (
+    WIRE_SCHEMA,
+    is_wire_schema,
+    spec_from_wire,
+    spec_to_wire,
+)
 from repro.sim.models import ModelBundle
 from repro.sim.run_result import RunResult
 from repro.runner.spec import RunSpec
@@ -123,7 +128,7 @@ def hello_payload(models: Optional[ModelBundle]) -> dict:
 
 def models_from_hello(payload: dict) -> Optional[ModelBundle]:
     """Decode the hello frame's model bundle (None when it ships none)."""
-    if payload.get("schema") != WIRE_SCHEMA:
+    if not is_wire_schema(payload.get("schema")):
         raise ProtocolError(
             "hello has unsupported schema %r (this build speaks %d)"
             % (payload.get("schema"), WIRE_SCHEMA)

@@ -18,19 +18,16 @@ from repro.runner.cache import (
     CACHE_DIR_ENV,
     CacheStats,
     DiskUsage,
-    MigrateStats,
     ResultCache,
     TRACE_BLOB_SUFFIX,
     default_cache_dir,
     disk_usage,
     load_trace_blob,
-    migrate,
     payload_bytes,
     prune,
     result_bytes,
     result_to_payload,
     result_to_summary,
-    store_depth,
     summary_to_result,
     trace_blob_bytes,
 )
@@ -88,13 +85,10 @@ __all__ = [
     "WIRE_SCHEMA",
     "CacheStats",
     "DiskUsage",
-    "MigrateStats",
     "TRACE_BLOB_SUFFIX",
     "build_simulator",
     "default_batch",
     "disk_usage",
-    "migrate",
-    "store_depth",
     "execute_batch",
     "execute_schedule",
     "execute_schedules",

@@ -1,30 +1,31 @@
 """Content-addressed result cache for closed-loop runs.
 
-Entries live under ``<root>/<key[:2]>/`` (the *flat* layout, depth 1) or
-``<root>/<key[:2]>/<key[2:4]>/`` (the *sharded* layout, depth 2 -- 65536
-fan-out directories for ~100k+ run stores) where ``key`` is the
-:func:`repro.runner.spec.spec_key` of the experiment.  A store's write
-depth is recorded in a ``.layout.json`` marker; **reads always probe
-both depths**, because ``repro-dtpm cache migrate`` reshards a live
-store in place (copy-then-unlink per entry, re-runnable after an
-interruption) and readers must keep finding every key meanwhile.
+Every entry lives in ``<root>/<key[:2]>/<key[2:4]>/`` -- 256 top-level
+*shards* of 256 directories each, so a ~100k+ run store keeps every
+directory small -- where ``key`` is the
+:func:`repro.runner.spec.spec_key` of the experiment.  An entry is a
+small ``<key>.json`` *summary* (scalars + ``"artifact": 2`` + trace
+shape) next to a ``<key>.npz`` binary trace blob -- the summary is
+written last and is the commit point.  The blob stores the ``(rows,
+columns)`` float64 matrix uncompressed, so the round trip is
+numerically exact by construction.  A ``<key>.json`` without
+``"artifact": 2`` (the trace-rows-inline files of cache format 1, which
+no current key reaches because ``spec_key`` hashes the format) is a miss
+that bulk reads skip and :func:`prune` still evicts.
 
-Every entry is a small ``<key>.json`` *summary* (scalars +
-``"artifact": 2`` + trace shape) next to a ``<key>.npz`` binary trace
-blob -- the summary is written last and is the commit point.  The blob
-stores the ``(rows, columns)`` float64 matrix uncompressed, so the
-round trip is numerically exact by construction.  A ``<key>.json``
-without ``"artifact": 2`` (the trace-rows-inline files of cache format
-1, which no current key reaches because ``spec_key`` hashes the format)
-is a miss that bulk reads skip and :func:`prune` still evicts.
+Every blob -- on disk or base64 on the distributed wire -- is decoded by
+:func:`trace_from_npz_bytes`, whose zip read checks the member's CRC-32:
+a damaged blob is a miss or a typed error, never a wrong trace, and no
+read writes to the store.
 
-``repro-dtpm cache migrate --compress deflate`` may transcode blobs
-through stdlib zlib (suffix ``.npz.z``).  Compression never changes a
-result: the blob decompresses to the exact npz bytes an uncompressed
-store would hold.  Every blob -- plain or deflated on disk, base64 on
-the distributed wire -- is decoded by :func:`trace_from_npz_bytes`,
-whose zip read checks the member's CRC-32: a damaged blob is a miss or
-a typed error, never a wrong trace, and no read writes to the store.
+Files of a shard that belong to no entry are *stray files*: a blob whose
+summary never landed, a temp file a killed writer left behind, and what
+earlier store versions wrote (entries directly under ``<key[:2]>/``,
+compressed blobs).  Nothing reads them; :func:`disk_usage` counts them
+and :func:`prune` removes them once they are older than
+:data:`ORPHAN_GRACE_S`.  The store is derived data, so a store an
+earlier version wrote reads as (partly) empty and refills as runs
+execute again.
 
 Bulk readers (:meth:`ResultCache.frame_chunks`, feeding
 ``SuiteFrame.open_dir``) ride a per-shard *frame index*: one
@@ -77,20 +78,8 @@ ARTIFACT_FORMAT = 2
 #: Suffix of the binary trace blob sitting next to a summary.
 TRACE_BLOB_SUFFIX = ".npz"
 
-#: Suffix of a deflate-compressed trace blob (``cache migrate --compress``).
-DEFLATE_BLOB_SUFFIX = ".npz.z"
-
-#: Every suffix a trace blob may carry, plain first (the probe order).
-BLOB_SUFFIXES: Tuple[str, ...] = (TRACE_BLOB_SUFFIX, DEFLATE_BLOB_SUFFIX)
-
-#: zlib level of compressed blobs (it fixes their on-disk bytes).
-DEFLATE_LEVEL = 6
-
 #: Name of the trace matrix inside the npz container.
 TRACE_MEMBER = "data"
-
-#: Name of the store-layout marker file under the cache root.
-LAYOUT_MARKER = ".layout.json"
 
 #: Directory (under the root) holding the per-shard frame index files.
 INDEX_DIR = ".index"
@@ -114,10 +103,11 @@ SUMMARY_COUNT_FIELDS: Tuple[str, ...] = (
 )
 
 #: What reading a damaged trace blob raises: a missing or torn file,
-#: bytes that are no zip archive or deflate stream, a member whose CRC-32
-#: or header does not check out, a member flagged as encrypted or packed
-#: with a method ``zipfile`` cannot read, a missing member, an npy header
-#: that does not parse, or a matrix that disagrees with its summary.
+#: bytes that are no zip archive, a member whose CRC-32 or header does
+#: not check out (a header damaged into claiming deflate packing feeds
+#: zlib bytes it rejects), a member flagged as encrypted or packed with a
+#: method ``zipfile`` cannot read, a missing member, an npy header that
+#: does not parse, or a matrix that disagrees with its summary.
 BLOB_ERRORS: Tuple[Type[BaseException], ...] = (
     OSError,
     EOFError,
@@ -324,21 +314,10 @@ def trace_blob_bytes(result: RunResult) -> bytes:
     return buf.getvalue()
 
 
-def _blob_key(name: str) -> Optional[str]:
-    """The entry key a blob file name encodes, or None for other files."""
-    for suffix in BLOB_SUFFIXES:
-        if name.endswith(suffix):
-            return name[: -len(suffix)]
-    return None
-
-
 def load_trace_blob(path: str) -> np.ndarray:
-    """The trace matrix of a blob file, plain or deflated (``.npz.z``)."""
+    """The trace matrix of a blob file."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if path.endswith(DEFLATE_BLOB_SUFFIX):
-        raw = zlib.decompress(raw)
-    return trace_from_npz_bytes(raw)
+        return trace_from_npz_bytes(fh.read())
 
 
 def trace_from_npz_bytes(raw: bytes) -> np.ndarray:
@@ -361,36 +340,8 @@ def default_cache_dir() -> Optional[str]:
     return path or None
 
 
-# ---------------------------------------------------------------------------
-# store layout (shard depth) marker
-# ---------------------------------------------------------------------------
-def store_depth(root: str) -> int:
-    """The shard depth a store's ``.layout.json`` marker declares (1 or 2).
-
-    A missing or unreadable marker means the legacy single-level layout
-    (depth 1) -- every store written before the marker existed -- and so
-    does a marker that declares anything but depth 2.
-    """
-    try:
-        with open(os.path.join(root, LAYOUT_MARKER), "rb") as fh:
-            payload = loads_json(fh.read())
-    except (OSError, ValueError):
-        return 1
-    return 2 if isinstance(payload, dict) and payload.get("depth") == 2 else 1
-
-
-def _write_layout_marker(root: str, depth: int) -> None:
-    os.makedirs(root, exist_ok=True)
-    ResultCache._atomic_write(
-        os.path.join(root, LAYOUT_MARKER),
-        payload_bytes({"depth": depth}),
-    )
-
-
-def _entry_dir(root: str, key: str, depth: int) -> str:
-    if depth == 2:
-        return os.path.join(root, key[:2], key[2:4])
-    return os.path.join(root, key[:2])
+def _entry_dir(root: str, key: str) -> str:
+    return os.path.join(root, key[:2], key[2:4])
 
 
 @dataclass
@@ -405,15 +356,9 @@ class CacheStats:
 class ResultCache:
     """Content-addressed RunResult store (in-memory + optional disk).
 
-    ``fanout`` picks the shard depth new entries are written at: ``1``
-    (``<root>/ab/``, the legacy flat layout), ``2`` (``<root>/ab/cd/``),
-    or ``None`` (default) to adopt whatever the store's layout marker
-    declares.  Reads always probe both depths, so mixed and mid-migration
-    stores stay fully readable.
-
-    New trace blobs are written plain; reads handle any mix of plain and
-    deflated blobs.  ``mmap`` is accepted and ignored: every read decodes
-    the whole blob through its CRC check.
+    ``mmap`` and ``fanout`` remain for callers that still pass them:
+    ``mmap`` is ignored (every read decodes the whole blob through its
+    CRC check) and ``fanout`` must be ``None`` or ``2``, the one layout.
     """
 
     def __init__(
@@ -427,18 +372,13 @@ class ResultCache:
             raise SimulationError(
                 "a cache needs a root directory or the memory layer"
             )
+        if fanout not in (None, 2):
+            raise ConfigurationError(
+                "fanout must be 2, the one store layout, got %r" % (fanout,)
+            )
         self.root = (
             os.path.abspath(os.path.expanduser(root)) if root else None
         )
-        if fanout is None:
-            depth = store_depth(self.root) if self.root is not None else 1
-        elif fanout in (1, 2):
-            depth = int(fanout)
-        else:
-            raise ConfigurationError(
-                "fanout must be 1 (flat) or 2 (sharded), got %r" % (fanout,)
-            )
-        self.depth = depth
         self._lock = threading.Lock()
         # decoded results, so repeated in-process hits skip JSON parsing
         # (callers share the object, like the old per-session run memo);
@@ -447,7 +387,6 @@ class ResultCache:
             {} if memory else None
         )
         self.stats = CacheStats()  # guarded-by: _lock
-        self._marker_written = False  # guarded-by: _lock
 
     @classmethod
     def from_env(cls) -> "ResultCache":
@@ -456,73 +395,25 @@ class ResultCache:
 
     # ------------------------------------------------------------------
     def _path(self, key: str) -> str:
-        """The summary path at this cache's *write* depth."""
+        """The summary path of ``key``."""
         assert self.root is not None
-        return os.path.join(
-            _entry_dir(self.root, key, self.depth), key + ".json"
-        )
-
-    def _probe_dirs(self, key: str) -> List[str]:
-        """Candidate entry directories, write depth first."""
-        assert self.root is not None
-        dirs = [_entry_dir(self.root, key, self.depth)]
-        other = _entry_dir(self.root, key, 3 - self.depth)
-        dirs.append(other)
-        return dirs
-
-    def _find_summary(self, key: str) -> Optional[str]:
-        """The existing summary path for ``key`` at either depth."""
-        if self.root is None:
-            return None
-        for base in self._probe_dirs(key):
-            path = os.path.join(base, key + ".json")
-            if os.path.exists(path):
-                return path
-        return None
-
-    def _find_blob(self, key: str) -> Optional[str]:
-        """The existing trace blob for ``key``: any depth, plain first."""
-        if self.root is None:
-            return None
-        for base in self._probe_dirs(key):
-            for suffix in BLOB_SUFFIXES:
-                path = os.path.join(base, key + suffix)
-                if os.path.exists(path):
-                    return path
-        return None
-
-    def _read_trace(self, key: str) -> np.ndarray:
-        """One entry's trace matrix; raises one of :data:`BLOB_ERRORS`.
-
-        A blob can vanish between the probe and the open: a concurrent
-        ``cache migrate`` moved it to the other depth or codec.  What
-        replaced it holds the same trace, so the probe runs once more.
-        """
-        try:
-            return self._read_blob(key)
-        except FileNotFoundError:
-            return self._read_blob(key)
-
-    def _read_blob(self, key: str) -> np.ndarray:
-        path = self._find_blob(key)
-        if path is None:
-            raise SimulationError("no trace blob")
-        return load_trace_blob(path)
+        return os.path.join(_entry_dir(self.root, key), key + ".json")
 
     def _load_disk(self, key: str) -> Optional[RunResult]:
-        path = self._find_summary(key)
-        if path is None:
+        if self.root is None:
             return None
+        path = self._path(key)
         try:
             with open(path, "rb") as fh:
                 payload = loads_json(fh.read())
             if not is_summary(payload):
                 return None
-            data = self._read_trace(key)
-            result = summary_to_result(payload, data)
+            result = summary_to_result(
+                payload, load_trace_blob(self.trace_path(key))
+            )
         except BLOB_ERRORS:
-            # corrupt/truncated/stale/format-1 entry: treat as a miss, let
-            # the writer replace it
+            # missing/corrupt/truncated/stale/format-1 entry: treat as a
+            # miss, let the writer replace it
             return None
         self._touch(path)
         return result
@@ -556,9 +447,7 @@ class ResultCache:
                 # memory-layer hits must keep the disk entry warm too, or
                 # a long-lived process would let prune() evict its hottest
                 # keys by their stale first-read stamp
-                path = self._find_summary(key)
-                if path is not None:
-                    self._touch(path)
+                self._touch(self._path(key))
             return memo
         result = self._load_disk(key)  # file I/O stays outside the lock
         with self._lock:
@@ -584,39 +473,18 @@ class ResultCache:
                 pass
             raise
 
-    def _ensure_marker(self) -> None:
-        """Record a depth-2 write layout once per instance (best effort)."""
-        with self._lock:
-            if self._marker_written:
-                return
-            self._marker_written = True
-        if self.root is not None and self.depth == 2:
-            try:
-                _write_layout_marker(self.root, self.depth)
-            except OSError:
-                pass
-
     def put(self, key: str, result: RunResult) -> None:
         """Store a result under its content key (summary + trace blob)."""
         with self._lock:
             if self._memory is not None:
                 self._memory[key] = result
         if self.root is not None:
-            self._ensure_marker()
             path = self._path(key)
             os.makedirs(os.path.dirname(path), exist_ok=True)
             # trace blob first, summary JSON last: the summary is the
             # commit point, so readers never see a summary without a blob
-            entry = path[: -len(".json")]
-            blob = trace_blob_bytes(result)
-            self._atomic_write(entry + TRACE_BLOB_SUFFIX, blob)
+            self._atomic_write(self.trace_path(key), trace_blob_bytes(result))
             self._atomic_write(path, payload_bytes(result_to_summary(result)))
-            # a re-put over a blob ``cache migrate --compress deflate``
-            # transcoded drops that copy, so the entry has exactly one blob
-            try:
-                os.unlink(entry + DEFLATE_BLOB_SUFFIX)
-            except OSError:
-                pass
         with self._lock:
             self.stats.stores += 1
 
@@ -634,15 +502,13 @@ class ResultCache:
     # (repro.analysis.suite opens whole directories through these)
     def keys(self) -> List[str]:
         """Every key with an on-disk summary, in deterministic order."""
-        if self.root is None or not os.path.isdir(self.root):
+        if self.root is None:
             return []
-        seen = set()
-        out: List[str] = []
-        for key, _, _ in _iter_entries(self.root):
-            if key not in seen:  # mid-migration stores list a key twice
-                seen.add(key)
-                out.append(key)
-        return out
+        return [
+            key
+            for shard in _shards(self.root)
+            for key, _, _ in _scan_shard(self.root, shard)[0]
+        ]
 
     def load_summary(self, key: str) -> Optional[dict]:
         """One entry's summary payload, without touching its trace blob.
@@ -653,11 +519,10 @@ class ResultCache:
         analytics sweeps over a suite directory are bulk reads and must
         not reorder the eviction queue wholesale.
         """
-        path = self._find_summary(key)
-        if path is None:
+        if self.root is None:
             return None
         try:
-            with open(path, "rb") as fh:
+            with open(self._path(key), "rb") as fh:
                 return loads_json(fh.read())
         except (OSError, ValueError):
             return None
@@ -685,13 +550,10 @@ class ResultCache:
         exactly the order of :meth:`keys` (every key is prefixed by its
         shard) minus the malformed entries a frame leaves out.
         """
-        if self.root is None or not os.path.isdir(self.root):
+        if self.root is None:
             return []
         frames: List[Dict[str, Any]] = []
-        for shard in sorted(os.listdir(self.root)):
-            shard_dir = os.path.join(self.root, shard)
-            if _skip_dir(shard) or not os.path.isdir(shard_dir):
-                continue
+        for shard in _shards(self.root):
             frame = _load_shard_frame(self.root, shard)
             if frame is None:
                 frame = _build_shard_frame(self.root, shard)
@@ -700,22 +562,16 @@ class ResultCache:
         return frames
 
     def trace_path(self, key: str) -> str:
-        """Path of the plain ``.npz`` trace blob belonging to ``key``.
+        """Path of the ``.npz`` trace blob belonging to ``key``.
 
         Consumers stream these bytes as npz directly (e.g. the service's
-        trace endpoint).  An entry whose blob ``cache migrate --compress
-        deflate`` transcoded, like a missing one, reports the write-depth
-        path of a plain blob, which does not exist; callers fall back to
-        :meth:`get` + :func:`trace_blob_bytes`.
+        trace endpoint).  The file may not exist -- a miss, or a prune
+        racing the caller -- so callers open it once and fall back to
+        :meth:`get` + :func:`trace_blob_bytes` on ``FileNotFoundError``.
         """
         if self.root is None:
             raise SimulationError("cache has no root directory")
-        found = self._find_blob(key)
-        if found is not None and found.endswith(TRACE_BLOB_SUFFIX):
-            return found
-        return os.path.join(
-            _entry_dir(self.root, key, self.depth), key + TRACE_BLOB_SUFFIX
-        )
+        return os.path.join(_entry_dir(self.root, key), key + TRACE_BLOB_SUFFIX)
 
     def open_trace(self, key: str) -> np.ndarray:
         """The trace matrix of one entry, decoded and CRC-checked in full.
@@ -724,7 +580,7 @@ class ResultCache:
         ``key``.
         """
         try:
-            return self._read_trace(key)
+            return load_trace_blob(self.trace_path(key))
         except BLOB_ERRORS as exc:
             raise SimulationError(
                 "cache entry %s: unreadable trace blob (%s)" % (key, exc)
@@ -734,98 +590,96 @@ class ResultCache:
         with self._lock:
             if self._memory is not None and key in self._memory:
                 return True
-        return self._find_summary(key) is not None
+        return self.root is not None and os.path.exists(self._path(key))
 
     def __len__(self) -> int:
         """Number of distinct entries reachable from this cache."""
         with self._lock:
             keys = set(self._memory or ())
-        if self.root is not None and os.path.isdir(self.root):
-            for key, _json_path, _blob in _iter_entries(self.root):
-                keys.add(key)
+        keys.update(self.keys())
         return len(keys)
 
 
 # ---------------------------------------------------------------------------
-# disk store walking (shared by inspection, pruning, indexing, migration)
+# disk store walking (shared by inspection, pruning and indexing)
 # ---------------------------------------------------------------------------
 def _skip_dir(name: str) -> bool:
     """Top-level directories that never hold result entries."""
     return name == "models" or name.startswith(".")
 
 
-def _entry_dirs(root: str, shard: str) -> List[str]:
-    """Directories of one shard that may hold entries (both depths)."""
+def _shards(root: str) -> List[str]:
+    """The top-level shard directories of a store, sorted."""
+    try:
+        names = sorted(os.listdir(root))
+    except OSError:
+        return []
+    return [
+        name
+        for name in names
+        if not _skip_dir(name) and os.path.isdir(os.path.join(root, name))
+    ]
+
+
+def _store_file(name: str) -> bool:
+    """Whether ``name`` is a kind of file the store writes into a shard.
+
+    A summary (``<key>.json``), a trace blob (``<key>.npz``, or with a
+    further suffix: the compressed blobs of earlier versions) or a temp
+    file of :meth:`ResultCache._atomic_write` (``tmp*.tmp``).  Stray-file
+    handling touches nothing else.
+    """
+    kind = name.partition(".")[2].split(".")[0]
+    return kind in ("json", "npz") or (
+        name.startswith("tmp") and name.endswith(".tmp")
+    )
+
+
+_Entry = Tuple[str, str, Optional[str]]
+
+
+def _scan_shard(root: str, shard: str) -> Tuple[List[_Entry], List[str]]:
+    """One shard's entries and stray files, from one listing per directory.
+
+    Entries are ``(key, summary path, blob path or None)`` in key order:
+    every ``<key>.json`` of a ``<shard>/<sub>/`` directory, with its
+    ``<key>.npz`` when the listing holds one.  Stray files are the
+    :func:`_store_file` names that belong to no entry: every one directly
+    in ``<shard>/``, and in a subdirectory a blob without its summary, a
+    blob in another encoding or a temp file.
+    """
     shard_dir = os.path.join(root, shard)
-    dirs = [shard_dir]
-    subs = []
+    entries: List[_Entry] = []
+    strays: List[str] = []
     try:
         with os.scandir(shard_dir) as it:
-            for entry in it:
-                if entry.is_dir():
-                    subs.append(entry.path)
+            listing = sorted((entry.name, entry.is_dir()) for entry in it)
     except OSError:
-        return dirs
-    dirs.extend(sorted(subs))
-    return dirs
-
-
-def _iter_shard_entries(
-    root: str, shard: str
-) -> Iterator[Tuple[str, str, Optional[str]]]:
-    """Yield (key, json_path, blob_path-or-None) for one shard, key order.
-
-    Walks the shard directory *and* its depth-2 subdirectories, so flat,
-    sharded and mid-migration stores all enumerate completely.  A key
-    present at both depths (an interrupted migration) yields twice --
-    content-addressed entries are identical, and consumers that need
-    distinctness (``keys()``) dedupe.
-    """
-    found: List[Tuple[str, str]] = []
-    for entry_dir in _entry_dirs(root, shard):
+        return entries, strays
+    for name, is_dir in listing:
+        path = os.path.join(shard_dir, name)
+        if not is_dir:
+            if _store_file(name):
+                strays.append(path)
+            continue
         try:
-            names = os.listdir(entry_dir)
+            files = set(os.listdir(path))
         except OSError:
             continue
-        for name in names:
-            if name.endswith(".json"):
-                found.append(
-                    (name[: -len(".json")], os.path.join(entry_dir, name))
-                )
-    found.sort()
-    for key, json_path in found:
-        base = os.path.dirname(json_path)
-        blob = None
-        for suffix in BLOB_SUFFIXES:
-            candidate = os.path.join(base, key + suffix)
-            if os.path.exists(candidate):
-                blob = candidate
-                break
-        yield key, json_path, blob
-
-
-def _iter_entries(root: str) -> Iterator[Tuple[str, str, Optional[str]]]:
-    """Yield (key, json_path, blob_path-or-None) for every result entry."""
-    for shard in sorted(os.listdir(root)):
-        if _skip_dir(shard) or not os.path.isdir(os.path.join(root, shard)):
-            continue
-        yield from _iter_shard_entries(root, shard)
-
-
-def _iter_orphan_blobs(root: str, known: set) -> Iterator[str]:
-    """Blob paths whose summary never landed (interrupted writers)."""
-    for shard in sorted(os.listdir(root)):
-        if _skip_dir(shard) or not os.path.isdir(os.path.join(root, shard)):
-            continue
-        for entry_dir in _entry_dirs(root, shard):
-            try:
-                names = sorted(os.listdir(entry_dir))
-            except OSError:
-                continue
-            for name in names:
-                key = _blob_key(name)
-                if key is not None and key not in known:
-                    yield os.path.join(entry_dir, name)
+        for file in sorted(files):
+            key, _, kind = file.partition(".")
+            if kind == "json":
+                blob = key + TRACE_BLOB_SUFFIX
+                entries.append((
+                    key,
+                    os.path.join(path, file),
+                    os.path.join(path, blob) if blob in files else None,
+                ))
+            elif _store_file(file) and not (
+                file == key + TRACE_BLOB_SUFFIX and key + ".json" in files
+            ):
+                strays.append(os.path.join(path, file))
+    return entries, strays
 
 
 # ---------------------------------------------------------------------------
@@ -836,11 +690,11 @@ def _frame_path(root: str, shard: str) -> str:
 
 
 def _shard_stamp(root: str, shard: str) -> Dict[str, int]:
-    """mtime_ns of every entry directory of one shard (the frame's validity).
+    """mtime_ns of a shard and its subdirectories (the frame's validity).
 
     File writes and unlinks inside a directory bump its mtime; ``utime``
-    LRU stamps on files do not.  Creating a depth-2 subdirectory bumps
-    the parent, so new subdirs invalidate through the parent stamp even
+    LRU stamps on files do not.  Creating a subdirectory bumps the
+    shard, so new subdirs invalidate through the shard's stamp even
     before their own entry appears here.
     """
     shard_dir = os.path.join(root, shard)
@@ -906,13 +760,8 @@ def _shard_rows(root: str, shard: str) -> Iterator[Tuple[str, tuple]]:
 
     Unreadable, malformed and format-1 summaries are left out -- exactly
     the entries ``SuiteFrame.from_cache`` rejects when given their keys.
-    A key present at both depths (an interrupted migration) yields once.
     """
-    seen: set = set()
-    for key, json_path, _blob in _iter_shard_entries(root, shard):
-        if key in seen:
-            continue
-        seen.add(key)
+    for key, json_path, _blob in _scan_shard(root, shard)[0]:
         try:
             with open(json_path, "rb") as fh:
                 row = summary_row(loads_json(fh.read()))
@@ -987,66 +836,58 @@ class DiskUsage:
     entries: int = 0
     result_bytes: int = 0
     blob_bytes: int = 0
-    compressed_blobs: int = 0
     model_entries: int = 0
     model_bytes: int = 0
-    orphan_blobs: int = 0
+    stray_files: int = 0
+    stray_bytes: int = 0
     notes: List[str] = field(default_factory=list)
 
     @property
     def total_bytes(self) -> int:
-        return self.result_bytes + self.blob_bytes + self.model_bytes
+        return (
+            self.result_bytes
+            + self.blob_bytes
+            + self.model_bytes
+            + self.stray_bytes
+        )
 
     def summary(self) -> str:
-        text = (
-            "%d results, %d models, %.1f MiB total (%.1f MiB trace blobs)"
-            % (
-                self.entries,
-                self.model_entries,
-                self.total_bytes / 2**20,
-                self.blob_bytes / 2**20,
-            )
+        return "%d results, %d models, %.1f MiB total (%.1f MiB trace blobs)" % (
+            self.entries,
+            self.model_entries,
+            self.total_bytes / 2**20,
+            self.blob_bytes / 2**20,
         )
-        if self.compressed_blobs:
-            text += ", %d blob(s) compressed" % self.compressed_blobs
-        return text
 
 
 def disk_usage(root: str) -> DiskUsage:
-    """Inspect an on-disk cache directory (results, blobs, models).
+    """Inspect an on-disk cache directory (results, stray files, models).
 
-    Entries a concurrent prune, migration or codec re-put removes after
-    the directory listing are skipped, not an error.
+    Files a concurrent prune or re-put removes after the directory
+    listing are skipped, not an error.
     """
     root = os.path.abspath(os.path.expanduser(root))
     usage = DiskUsage(root=root)
     if not os.path.isdir(root):
         usage.notes.append("directory does not exist")
         return usage
-    json_names = set()
-    entries = set()
-    for key, json_path, blob_path in _iter_entries(root):
-        json_names.add(key)
-        try:
-            size = os.path.getsize(json_path)
-            blob_size = 0 if blob_path is None else os.path.getsize(blob_path)
-        except FileNotFoundError:
-            continue  # removed since the listing
-        # a key held at both depths mid-migration is one entry, but both
-        # copies stay on disk until the pass ends, so both count in bytes
-        entries.add(key)
-        usage.result_bytes += size
-        usage.blob_bytes += blob_size
-        if blob_path is not None and blob_path.endswith(DEFLATE_BLOB_SUFFIX):
-            usage.compressed_blobs += 1
-    usage.entries = len(entries)
-    # blobs whose summary never landed (interrupted writers)
-    for path in _iter_orphan_blobs(root, json_names):
-        try:
-            usage.blob_bytes += os.path.getsize(path)
-        except FileNotFoundError:
-            continue  # collected by a concurrent prune
-        usage.orphan_blobs += 1
+    for shard in _shards(root):
+        entries, strays = _scan_shard(root, shard)
+        for _key, json_path, blob_path in entries:
+            try:
+                size = os.path.getsize(json_path)
+                blob_size = 0 if blob_path is None else os.path.getsize(blob_path)
+            except FileNotFoundError:
+                continue  # removed since the listing
+            usage.entries += 1
+            usage.result_bytes += size
+            usage.blob_bytes += blob_size
+        for path in strays:
+            try:
+                usage.stray_bytes += os.path.getsize(path)
+            except FileNotFoundError:
+                continue  # collected by a concurrent prune
+            usage.stray_files += 1
     models_dir = os.path.join(root, "models")
     if os.path.isdir(models_dir):
         for name in sorted(os.listdir(models_dir)):
@@ -1058,9 +899,9 @@ def disk_usage(root: str) -> DiskUsage:
     return usage
 
 
-#: A blob without a summary younger than this is assumed to belong to an
-#: in-flight put() (blob lands first, summary is the commit point) and is
-#: left alone; older ones are interrupted-writer debris.
+#: A stray file younger than this may belong to an in-flight put() (its
+#: temp files, then a blob whose summary -- the commit point -- has not
+#: landed yet) and is left alone; older ones are debris.
 ORPHAN_GRACE_S = 300.0
 
 
@@ -1074,11 +915,11 @@ def prune(root: str, max_bytes: Optional[int]) -> Tuple[int, int]:
     entries a warm grid keeps answering from survive, write-once-read-
     never debris goes first.  Passing ``None`` removes **every** result
     entry -- it is deliberately not a default so the full wipe is always
-    an explicit choice (the CLI's ``--all``).  Orphaned trace blobs older
-    than :data:`ORPHAN_GRACE_S` are always collected; younger ones may
-    belong to a concurrent writer whose summary has not landed yet.  The
-    model store (``<root>/models``) is never touched -- models are tiny
-    and cost ~10 s to rebuild.
+    an explicit choice (the CLI's ``--all``).  Stray files older than
+    :data:`ORPHAN_GRACE_S` are always removed, and count as removed
+    entries; younger ones may belong to a concurrent writer.  The model
+    store (``<root>/models``) is never touched -- models are tiny and
+    cost ~10 s to rebuild.
 
     Pruning is safe against concurrent readers: each entry's trace blob
     is unlinked *before* its summary, so the store never holds an
@@ -1088,8 +929,7 @@ def prune(root: str, max_bytes: Optional[int]) -> Tuple[int, int]:
     treats as a clean miss, and the half-removed entry stays listed for
     the next prune.  A reader holding an open handle on a blob keeps
     reading its data (POSIX unlink semantics); files a concurrent
-    pruner, migration or re-put removed first are simply skipped, never
-    an error.
+    pruner or re-put removed first are simply skipped, never an error.
     """
     root = os.path.abspath(os.path.expanduser(root))
     if not os.path.isdir(root):
@@ -1097,29 +937,31 @@ def prune(root: str, max_bytes: Optional[int]) -> Tuple[int, int]:
     removed = 0
     freed = 0
     entries = []
-    known = set()
-    for key, json_path, blob_path in _iter_entries(root):
-        known.add(key)
-        try:
-            size = os.path.getsize(json_path)
-            mtime = os.path.getmtime(json_path)
-            if blob_path is not None:
-                size += os.path.getsize(blob_path)
-        except FileNotFoundError:
-            continue  # removed since the listing
-        entries.append((mtime, size, json_path, blob_path))
-    # interrupted writers leave blobs without a summary: collect the stale
-    # ones (recent ones may still get their summary -- see put())
+    strays: List[str] = []
+    for shard in _shards(root):
+        shard_entries, shard_strays = _scan_shard(root, shard)
+        strays.extend(shard_strays)
+        for _key, json_path, blob_path in shard_entries:
+            try:
+                stat = os.stat(json_path)
+                size = stat.st_size
+                if blob_path is not None:
+                    size += os.path.getsize(blob_path)
+            except FileNotFoundError:
+                continue  # removed since the listing
+            entries.append((stat.st_mtime, size, json_path, blob_path))
+    # stale stray files go whatever the budget (recent ones may still be
+    # part of an in-flight put -- see ORPHAN_GRACE_S)
     now = time.time()
-    for path in _iter_orphan_blobs(root, known):
+    for path in strays:
         try:
-            if now - os.path.getmtime(path) < ORPHAN_GRACE_S:
+            stat = os.stat(path)
+            if now - stat.st_mtime < ORPHAN_GRACE_S:
                 continue
-            blob_size = os.path.getsize(path)
             os.unlink(path)
         except OSError:
             continue  # a writer committed or removed it meanwhile
-        freed += blob_size
+        freed += stat.st_size
         removed += 1
     total = sum(size for _, size, _, _ in entries)
     budget = -1 if max_bytes is None else max_bytes
@@ -1150,146 +992,3 @@ def prune(root: str, max_bytes: Optional[int]) -> Tuple[int, int]:
         # an undeletable entry keeps its footprint counted, so the walk
         # continues into newer entries until the budget is really met
     return removed, freed
-
-
-# ---------------------------------------------------------------------------
-# in-place store migration (the `repro-dtpm cache migrate` subcommand)
-# ---------------------------------------------------------------------------
-@dataclass
-class MigrateStats:
-    """What one :func:`migrate` pass did."""
-
-    examined: int = 0
-    moved: int = 0
-    recompressed: int = 0
-    cleaned: int = 0
-
-    def summary(self) -> str:
-        return (
-            "%d entries examined: %d relocated, %d blobs transcoded, "
-            "%d leftover copies cleaned"
-            % (self.examined, self.moved, self.recompressed, self.cleaned)
-        )
-
-
-def migrate(
-    root: str,
-    fanout: int = 2,
-    compress: Optional[str] = None,
-) -> MigrateStats:
-    """Reshard (and optionally transcode) a result store in place.
-
-    Every entry not already at the target depth/codec is *copied* to its
-    target location first (blob, then summary -- the summary is the
-    commit point there just like :meth:`ResultCache.put`) and only then
-    are the old copies unlinked (old summary first, so the store never
-    holds two committed variants longer than necessary, and an
-    interrupted pass never leaves a summary-less target).  Readers probe
-    both depths throughout, so a live store stays fully readable
-    mid-migration, and the pass is **idempotent**: re-running after an
-    interruption finds entries already at the target and only finishes
-    the pending unlinks.
-
-    ``compress`` transcodes trace blobs on the way: ``"deflate"`` to
-    zlib-compressed blobs, ``"none"`` to plain npz, ``None`` (the
-    default) keeps each blob's current encoding.  The layout marker is
-    written last, so new writers only adopt the target depth once the
-    data is actually there.
-    """
-    root = os.path.abspath(os.path.expanduser(root))
-    if fanout not in (1, 2):
-        raise ConfigurationError(
-            "fanout must be 1 (flat) or 2 (sharded), got %r" % (fanout,)
-        )
-    if compress not in (None, "deflate", "none"):
-        raise ConfigurationError(
-            "unknown blob codec %r (the codecs are 'deflate' and 'none')"
-            % (compress,)
-        )
-    deflate = compress == "deflate"
-    stats = MigrateStats()
-    if not os.path.isdir(root):
-        return stats
-    # group every on-disk copy by key (a prior interruption may have left
-    # an entry at both depths)
-    copies: Dict[str, List[Tuple[str, Optional[str]]]] = {}
-    for key, json_path, blob_path in _iter_entries(root):
-        copies.setdefault(key, []).append((json_path, blob_path))
-    for key in sorted(copies):
-        stats.examined += 1
-        target_dir = _entry_dir(root, key, fanout)
-        target_json = os.path.join(target_dir, key + ".json")
-        # source blob: prefer one already in the target encoding
-        source_blob: Optional[str] = None
-        for _json, blob in copies[key]:
-            if blob is None:
-                continue
-            if source_blob is None or (
-                blob.endswith(DEFLATE_BLOB_SUFFIX) == deflate
-            ):
-                source_blob = blob
-        target_blob: Optional[str] = None
-        if source_blob is not None:
-            if compress is None:
-                # keep the source encoding; only the location moves
-                suffix = os.path.basename(source_blob)[len(key):]
-            else:
-                suffix = DEFLATE_BLOB_SUFFIX if deflate else TRACE_BLOB_SUFFIX
-            target_blob = os.path.join(target_dir, key + suffix)
-        moved = False
-        # 1. blob into place (decode/re-encode when the codec changes)
-        if target_blob is not None and not os.path.exists(target_blob):
-            assert source_blob is not None
-            with open(source_blob, "rb") as fh:
-                raw = fh.read()
-            source_deflated = source_blob.endswith(DEFLATE_BLOB_SUFFIX)
-            target_deflated = target_blob.endswith(DEFLATE_BLOB_SUFFIX)
-            if source_deflated != target_deflated:
-                raw = (
-                    zlib.compress(raw, DEFLATE_LEVEL)
-                    if target_deflated
-                    else zlib.decompress(raw)
-                )
-                stats.recompressed += 1
-            os.makedirs(target_dir, exist_ok=True)
-            ResultCache._atomic_write(target_blob, raw)
-            moved = True
-        # 2. summary into place (the commit point of the new location)
-        if not os.path.exists(target_json):
-            source_json = copies[key][0][0]
-            with open(source_json, "rb") as fh:
-                payload = fh.read()
-            os.makedirs(target_dir, exist_ok=True)
-            ResultCache._atomic_write(target_json, payload)
-            moved = True
-        if moved:
-            stats.moved += 1
-        # 3. drop every non-target copy: summaries first (readers fall
-        # back to the committed target), then blobs
-        for json_path, _blob in copies[key]:
-            if os.path.abspath(json_path) == os.path.abspath(target_json):
-                continue
-            try:
-                os.unlink(json_path)
-                stats.cleaned += 1
-            except OSError:
-                pass
-        for _json, blob in copies[key]:
-            if blob is None:
-                continue
-            if target_blob is not None and (
-                os.path.abspath(blob) == os.path.abspath(target_blob)
-            ):
-                continue
-            try:
-                os.unlink(blob)
-                stats.cleaned += 1
-            except OSError:
-                pass
-        # stray blob variants next to the target (e.g. a codec change
-        # re-running over a finished pass) are orphan-collected by prune
-    try:
-        _write_layout_marker(root, fanout)
-    except OSError:
-        pass
-    return stats

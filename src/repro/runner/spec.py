@@ -184,6 +184,8 @@ class RunSpec:
             )
         if self.max_duration_s <= 0:
             raise ConfigurationError("max_duration_s must be positive")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigurationError("seed must be >= 0, got %r" % self.seed)
         object.__setattr__(self, "history", tuple(self.history))
         for w in self.history:
             if not isinstance(w, WorkloadTrace):
@@ -439,6 +441,10 @@ class ExperimentMatrix:
             raise ConfigurationError("schedules must not be empty sequences")
         if self.idle_gap_s < 0:
             raise ConfigurationError("idle_gap_s must be >= 0")
+        if self.base_seed is not None and self.base_seed < 0:
+            raise ConfigurationError(
+                "base_seed must be >= 0, got %r" % self.base_seed
+            )
         if not self.workloads and not self.schedules:
             raise ConfigurationError("matrix axis 'workloads' is empty")
         for name in ("modes", "configs", "guard_bands_k"):

@@ -371,6 +371,16 @@ _WALKS.update((cls, _Walk(cls, table)) for cls, table in _CODECS.items())
 # ---------------------------------------------------------------------------
 # versioned specs and grids
 # ---------------------------------------------------------------------------
+def is_wire_schema(value: Any) -> bool:
+    """Whether ``value`` names :data:`WIRE_SCHEMA` as a JSON integer.
+
+    The check of every versioned payload -- specs, grids and the
+    distributed ``hello`` frame.  Like an ``int`` field of the walk,
+    ``true`` and ``1.0`` are not the integer 1.
+    """
+    return _is_int(value) and value == WIRE_SCHEMA
+
+
 def _versioned_from_wire(cls: type, obj: Any, where: str) -> Any:
     payload = dict(_require_mapping(obj, where))
     if "schema" not in payload:
@@ -379,7 +389,7 @@ def _versioned_from_wire(cls: type, obj: Any, where: str) -> Any:
             % (where, WIRE_SCHEMA)
         )
     schema = payload.pop("schema")
-    if schema != WIRE_SCHEMA:
+    if not is_wire_schema(schema):
         raise WireError(
             "%s has unsupported schema %r (this build speaks %d)"
             % (where, schema, WIRE_SCHEMA)

@@ -353,13 +353,19 @@ class _Handler(BaseHTTPRequestHandler):
     def _serve_trace(self, key: str) -> None:
         cache = self.service.cache
         if cache.root is not None:
-            path = cache.trace_path(key)
-            if os.path.exists(path):
-                size = os.path.getsize(path)
-                with open(path, "rb") as fh:
+            # one open: a prune that unlinks the blob before it is a miss
+            # here, one that unlinks it after leaves the open file whole
+            try:
+                fh = open(cache.trace_path(key), "rb")
+            except FileNotFoundError:
+                pass
+            else:
+                with fh:
                     self.send_response(200)
                     self.send_header("Content-Type", "application/octet-stream")
-                    self.send_header("Content-Length", str(size))
+                    self.send_header(
+                        "Content-Length", str(os.fstat(fh.fileno()).st_size)
+                    )
                     self.end_headers()
                     shutil.copyfileobj(fh, self.wfile)
                 return

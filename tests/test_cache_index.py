@@ -11,6 +11,7 @@ import json
 import os
 import shutil
 import tempfile
+import zlib
 
 import numpy as np
 import pytest
@@ -56,8 +57,8 @@ def _result(i, columns=0, length=3):
     )
 
 
-def _fill(root, n=12, **cache_kwargs):
-    cache = ResultCache(root=root, memory=False, **cache_kwargs)
+def _fill(root, n=12):
+    cache = ResultCache(root=root, memory=False)
     for i in range(n):
         cache.put(_key(SHARDS[i % 3], i), _result(i, columns=i % 2))
     return cache
@@ -76,28 +77,31 @@ def assert_same_frame(got, want):
 
 
 # ---------------------------------------------------------------------------
-# open_dir == explicit keys on every store layout
+# open_dir == explicit keys, with or without stray files
 # ---------------------------------------------------------------------------
-def _interrupt_migration(root, keys):
-    """Copy every other flat entry to depth 2, leaving the flat copy: the
-    state an interrupted ``cache migrate --fanout 2`` leaves behind."""
-    for key in keys[::2]:
-        target = os.path.join(root, key[:2], key[2:4])
-        os.makedirs(target, exist_ok=True)
-        for suffix in (".npz", ".json"):
-            shutil.copy(os.path.join(root, key[:2], key + suffix), target)
+def _add_legacy_strays(root, keys):
+    """Next to every entry, the files of an earlier store version: a copy
+    in the flat ``<key[:2]>/`` layout or a deflated blob, and a temp file."""
+    for i, key in enumerate(keys):
+        entry = os.path.join(root, key[:2], key[2:4], key)
+        if i % 2:
+            with open(entry + ".npz", "rb") as fh:
+                deflated = zlib.compress(fh.read())
+            with open(entry + ".npz.z", "wb") as fh:
+                fh.write(deflated)
+        else:
+            for suffix in (".npz", ".json"):
+                shutil.copy(entry + suffix, os.path.join(root, key[:2]))
+        with open(os.path.join(os.path.dirname(entry), "tmp%d.tmp" % i), "wb"):
+            pass
 
 
-@pytest.mark.parametrize(
-    "layout", ["flat", "depth2", "deflate", "mid_migration"]
-)
+@pytest.mark.parametrize("layout", ["depth2", "legacy_strays"])
 def test_open_dir_equals_explicit_keys(tmp_path, layout):
     root = str(tmp_path)
-    cache = _fill(root, fanout=2 if layout == "depth2" else 1)
-    if layout == "deflate":
-        cache_mod.migrate(root, fanout=1, compress="deflate")
-    if layout == "mid_migration":
-        _interrupt_migration(root, cache.keys())
+    cache = _fill(root)
+    if layout == "legacy_strays":
+        _add_legacy_strays(root, cache.keys())
     reader = ResultCache(root=root, memory=False)
     walked = SuiteFrame.from_cache(reader, keys=reader.keys())
     assert len(walked) == 12
@@ -140,7 +144,7 @@ FAULTS = {
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_damaged_frame_file_is_rebuilt_never_served(tmp_path, fault):
     root = str(tmp_path)
-    _fill(root, fanout=2)
+    _fill(root)
     good = SuiteFrame.open_dir(root)  # builds every frame file
     path = cache_mod._frame_path(root, SHARDS[0])
     with open(path, "rb") as fh:
@@ -201,7 +205,7 @@ def _index_files(root):
 
 def test_previous_index_files_open_with_identical_rows(tmp_path, monkeypatch):
     root = str(tmp_path)
-    cache = _fill(root, fanout=2)
+    cache = _fill(root)
     walked = SuiteFrame.from_cache(cache, keys=cache.keys())
     for shard in SHARDS:
         _write_previous_index(root, shard)
@@ -264,15 +268,15 @@ def _summary_file(kind, result):
 
 
 @settings(max_examples=40, deadline=None)
-@given(entries=st.lists(_ENTRY, max_size=10), fanout=st.sampled_from([1, 2]))
-def test_open_dir_equals_explicit_valid_keys(entries, fanout):
+@given(entries=st.lists(_ENTRY, max_size=10))
+def test_open_dir_equals_explicit_valid_keys(entries):
     """``open_dir`` rows and ``get`` hits are the same set of entries.
 
     Every entry gets its trace blob, so a malformed summary is all that
     stands between it and a hit.
     """
     with tempfile.TemporaryDirectory() as root:
-        cache = ResultCache(root=root, memory=False, fanout=fanout)
+        cache = ResultCache(root=root, memory=False)
         valid = {}
         broken = []
         for i, (shard, kind, energy, count, done, cols, rows) in enumerate(
@@ -290,9 +294,7 @@ def test_open_dir_equals_explicit_valid_keys(entries, fanout):
                 valid[key] = result
                 continue
             broken.append(key)
-            path = os.path.join(
-                cache_mod._entry_dir(root, key, fanout), key + ".json"
-            )
+            path = os.path.join(cache_mod._entry_dir(root, key), key + ".json")
             with open(path, "wb") as fh:
                 fh.write(_summary_file(kind, result))
         expected = SuiteFrame.from_cache(cache, keys=sorted(valid))

@@ -1,7 +1,8 @@
-"""Sharded store layout, blob compression, frame index, in-place migration."""
+"""The one store layout, its frame index, and the stray files of older stores."""
 
-import json
 import os
+import time
+import zlib
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from repro.runner import (
     ResultCache,
     RunSpec,
     disk_usage,
-    migrate,
+    payload_bytes,
     prune,
     result_bytes,
-    store_depth,
+    result_to_summary,
     trace_blob_bytes,
 )
 from repro.sim.engine import ThermalMode
@@ -53,184 +54,28 @@ def _files(root):
 
 
 # ---------------------------------------------------------------------------
-# shard depth
+# the one layout
 # ---------------------------------------------------------------------------
-def test_fanout2_writes_depth2_and_marks_layout(tmp_path, result):
-    cache = ResultCache(root=str(tmp_path), fanout=2)
-    cache.put("ab" * 32, result)
+def test_default_cache_writes_depth2_and_nothing_at_the_root(tmp_path, result):
+    """Every entry is ``<key[:2]>/<key[2:4]>/<key>.json`` + ``.npz``; the
+    ``fanout=2`` callers may still pass writes the same bytes."""
     key = "ab" * 32
-    assert (tmp_path / key[:2] / key[2:4] / (key + ".json")).exists()
-    assert store_depth(str(tmp_path)) == 2
-    # a depth-agnostic cache adopts the marker
-    assert ResultCache(root=str(tmp_path), memory=False).depth == 2
-
-
-def test_depths_read_each_other(tmp_path, result):
-    key = "cd" * 32
-    flat = ResultCache(root=str(tmp_path / "flat"), fanout=1)
-    flat.put(key, result)
-    deep = ResultCache(root=str(tmp_path / "flat"), memory=False, fanout=2)
-    assert key in deep
-    assert result_bytes(deep.get(key)) == result_bytes(result)
-
-    sharded = ResultCache(root=str(tmp_path / "deep"), fanout=2)
-    sharded.put(key, result)
-    legacy = ResultCache(
-        root=str(tmp_path / "deep"), memory=False, fanout=1
-    )
-    assert result_bytes(legacy.get(key)) == result_bytes(result)
-    assert legacy.keys() == [key]
+    ResultCache(root=str(tmp_path / "default")).put(key, result)
+    ResultCache(root=str(tmp_path / "fanout2"), fanout=2).put(key, result)
+    entry = os.path.join(key[:2], key[2:4], key)
+    assert _files(tmp_path / "default") == [entry + ".json", entry + ".npz"]
+    assert os.listdir(tmp_path / "default") == [key[:2]]
+    for name in (entry + ".json", entry + ".npz"):
+        assert (tmp_path / "fanout2" / name).read_bytes() == (
+            tmp_path / "default" / name
+        ).read_bytes()
+    assert _files(tmp_path / "fanout2") == _files(tmp_path / "default")
 
 
 def test_fanout_validation(tmp_path):
-    with pytest.raises(ConfigurationError):
-        ResultCache(root=str(tmp_path), fanout=3)
-
-
-# ---------------------------------------------------------------------------
-# blob compression
-# ---------------------------------------------------------------------------
-def test_deflate_round_trip_is_byte_identical(tmp_path, result):
-    key = "ef" * 32
-    ResultCache(root=str(tmp_path)).put(key, result)
-    migrate(str(tmp_path), fanout=1, compress="deflate")
-    blob = tmp_path / key[:2] / (key + ".npz.z")
-    assert blob.exists()
-    assert blob.stat().st_size < len(trace_blob_bytes(result))
-    reader = ResultCache(root=str(tmp_path), memory=False)
-    assert result_bytes(reader.get(key)) == result_bytes(result)
-    # reads decompress in memory and write nothing
-    entry = os.path.join(key[:2], key)
-    assert _files(tmp_path) == [
-        ".layout.json", entry + ".json", entry + ".npz.z"
-    ]
-
-
-def test_read_reprobes_a_blob_moved_by_a_concurrent_migrate(
-    tmp_path, result, monkeypatch
-):
-    """A reader whose probe found a blob just before a concurrent
-    ``cache migrate`` moved it probes again and reads the moved blob."""
-    key = "1f" * 32
-    root = str(tmp_path)
-    ResultCache(root=root).put(key, result)
-    reader = ResultCache(root=root, memory=False)
-    stale = reader._find_blob(key)
-    migrate(root, fanout=2, compress="deflate")
-    assert not os.path.exists(stale)  # now deflated, one level deeper
-
-    probe = reader._find_blob
-
-    def probe_stale_once():
-        answers = iter([stale])
-        monkeypatch.setattr(
-            reader, "_find_blob", lambda k: next(answers, None) or probe(k)
-        )
-
-    probe_stale_once()
-    assert np.array_equal(reader.open_trace(key), result.trace.array())
-    probe_stale_once()
-    assert result_bytes(reader.get(key)) == result_bytes(result)  # no miss
-
-
-def test_truncated_compressed_blob_is_a_clean_miss(tmp_path, result):
-    key = "2f" * 32
-    root = str(tmp_path)
-    ResultCache(root=root).put(key, result)
-    migrate(root, fanout=1, compress="deflate")
-    blob = tmp_path / key[:2] / (key + ".npz.z")
-    blob.write_bytes(blob.read_bytes()[: blob.stat().st_size // 2])
-    reader = ResultCache(root=root, memory=False)
-    assert reader.get(key) is None
-    assert reader.stats_snapshot().misses == 1
-    reader.put(key, result)  # the writer replaces the damaged entry
-    assert not blob.exists()  # one blob per entry: the plain one
-    assert result_bytes(reader.get(key)) == result_bytes(result)
-
-
-def test_unknown_codec_rejected(tmp_path):
-    for codec in ("lz4", "zstd"):
+    for fanout in (1, 3):
         with pytest.raises(ConfigurationError):
-            migrate(str(tmp_path), compress=codec)
-
-
-# ---------------------------------------------------------------------------
-# migration
-# ---------------------------------------------------------------------------
-def test_migrate_reshards_and_stays_byte_identical(tmp_path, results):
-    root = str(tmp_path)
-    cache = ResultCache(root=root)
-    keys = ["%02x" % i * 32 for i in range(len(results))]
-    for key, res in zip(keys, results):
-        cache.put(key, res)
-    before = {k: result_bytes(cache.get(k)) for k in keys}
-    stats = migrate(root, fanout=2, compress="deflate")
-    assert stats.examined == len(keys)
-    assert stats.moved == len(keys)
-    after = ResultCache(root=root, memory=False)
-    assert after.depth == 2
-    assert after.keys() == sorted(keys)
-    for key in keys:
-        assert result_bytes(after.get(key)) == before[key]
-    # every old flat copy is gone
-    for key in keys:
-        assert not os.path.exists(os.path.join(root, key[:2], key + ".json"))
-        assert not os.path.exists(os.path.join(root, key[:2], key + ".npz"))
-
-
-def test_migrate_is_idempotent(tmp_path, result):
-    root = str(tmp_path)
-    ResultCache(root=root).put("aa" * 32, result)
-    first = migrate(root, fanout=2)
-    files = _files(root)
-    second = migrate(root, fanout=2)
-    assert second.moved == 0 and second.cleaned == 0
-    assert _files(root) == files
-    assert first.moved == 1
-
-
-def test_migrate_resumes_after_interruption(tmp_path, result):
-    """A pass killed between copy and unlink finishes on the next run."""
-    root = str(tmp_path)
-    key = "bc" * 32
-    ResultCache(root=root).put(key, result)
-    # simulate the interrupted state: target copies exist, old copies too
-    target = os.path.join(root, key[:2], key[2:4])
-    os.makedirs(target)
-    for suffix in (".json", ".npz"):
-        src = os.path.join(root, key[:2], key + suffix)
-        with open(src, "rb") as fh:
-            blob = fh.read()
-        with open(os.path.join(target, key + suffix), "wb") as fh:
-            fh.write(blob)
-    # both copies are readable mid-migration and count once
-    mid = ResultCache(root=root, memory=False)
-    assert mid.keys() == [key]
-    assert len(mid) == 1
-    assert disk_usage(root).entries == 1
-    stats = migrate(root, fanout=2)
-    assert stats.cleaned == 2  # the two leftover flat copies
-    assert not os.path.exists(os.path.join(root, key[:2], key + ".json"))
-    done = ResultCache(root=root, memory=False)
-    assert result_bytes(done.get(key)) == result_bytes(result)
-
-
-def test_migrate_round_trips_back_to_flat(tmp_path, result):
-    root = str(tmp_path)
-    key = "de" * 32
-    before = result_bytes(result)
-    ResultCache(root=root, fanout=2).put(key, result)
-    migrate(root, fanout=2, compress="deflate")
-    migrate(root, fanout=1, compress="none")
-    flat = ResultCache(root=root, memory=False)
-    assert flat.depth == 1
-    assert os.path.exists(os.path.join(root, key[:2], key + ".npz"))
-    assert result_bytes(flat.get(key)) == before
-
-
-def test_migrate_rejects_bad_fanout(tmp_path):
-    with pytest.raises(ConfigurationError):
-        migrate(str(tmp_path), fanout=3)
+            ResultCache(root=str(tmp_path), fanout=fanout)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +91,7 @@ def _frame_rows(cache):
 
 
 def test_indexed_summaries_match_directory_walk(tmp_path, results):
-    cache = ResultCache(root=str(tmp_path), fanout=2)
+    cache = ResultCache(root=str(tmp_path))
     keys = ["%02x" % (16 * i) * 32 for i in range(len(results))]
     for key, res in zip(keys, results):
         cache.put(key, res)
@@ -265,7 +110,7 @@ def test_indexed_summaries_match_directory_walk(tmp_path, results):
 
 def test_pack_index_invalidates_on_writes_and_prune(tmp_path, results):
     root = str(tmp_path)
-    cache = ResultCache(root=root, fanout=2)
+    cache = ResultCache(root=root)
     key_a = "11" * 32
     key_b = "11" + "ab" * 31  # same top-level shard, new depth-2 subdir
     cache.put(key_a, results[0])
@@ -279,11 +124,10 @@ def test_pack_index_invalidates_on_writes_and_prune(tmp_path, results):
 def test_suiteframe_open_dir_same_with_and_without_index(tmp_path, results):
     from repro.analysis.suite import SuiteFrame
 
-    cache = ResultCache(root=str(tmp_path), fanout=2)
+    cache = ResultCache(root=str(tmp_path))
     keys = ["%02x" % (7 * i + 1) * 32 for i in range(len(results))]
     for key, res in zip(keys, results):
         cache.put(key, res)
-    migrate(str(tmp_path), fanout=2, compress="deflate")
     fast = SuiteFrame.open_dir(str(tmp_path))
     slow = SuiteFrame.from_cache(cache, keys=cache.keys())
     assert fast.keys == slow.keys == sorted(keys)
@@ -293,79 +137,94 @@ def test_suiteframe_open_dir_same_with_and_without_index(tmp_path, results):
         assert np.array_equal(fast.trace(i), slow.trace(i))
 
 
-def test_disk_usage_counts_compressed_blobs(tmp_path, result):
-    ResultCache(root=str(tmp_path), fanout=2).put("21" * 32, result)
-    migrate(str(tmp_path), fanout=2, compress="deflate")
-    usage = disk_usage(str(tmp_path))
-    assert usage.entries == 1
-    assert usage.compressed_blobs == 1
-
-
-def test_prune_walks_both_depths(tmp_path, result):
-    root = str(tmp_path)
-    ResultCache(root=root, fanout=1).put("31" * 32, result)
-    ResultCache(root=root, fanout=2).put("32" * 32, result)
-    removed, freed = prune(root, max_bytes=None)
-    assert removed == 2
-    assert freed > 0
-    assert ResultCache(root=root, memory=False).keys() == []
-
-
-def test_layout_marker_ignores_garbage(tmp_path):
-    (tmp_path / ".layout.json").write_text("not json")
-    assert store_depth(str(tmp_path)) == 1
-    (tmp_path / ".layout.json").write_text(json.dumps({"depth": 9}))
-    assert store_depth(str(tmp_path)) == 1
-
-
 # ---------------------------------------------------------------------------
-# a damaged layout marker
+# stray files: what earlier store versions and killed writers leave
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "marker",
-    [
-        b'{"depth": 2',
-        b"\x00not json",
-        b"[" * 200_000,
-        b'{"depth": 7}',
-        b'{"depth": 1e999}',
-    ],
-    ids=["truncated", "non_json", "deep_nesting", "depth_7", "depth_overflow"],
-)
-def test_corrupt_layout_marker_keeps_the_store_readable(
-    tmp_path, results, marker
+FLAT_KEY = "31" * 32
+DEFLATED_KEY = "32" * 32
+
+
+def _legacy_store(root, result):
+    """A store as an earlier version left it: an entry in the flat
+    ``<key[:2]>/`` layout, a depth-2 entry whose blob was deflated, the
+    layout marker, an aged and a fresh temp file of killed writers, and
+    files the store never writes.  Returns the aged stray files."""
+    summary = payload_bytes(result_to_summary(result))
+    blob = trace_blob_bytes(result)
+    flat = os.path.join(root, FLAT_KEY[:2])
+    deep = os.path.join(root, DEFLATED_KEY[:2], DEFLATED_KEY[2:4])
+    os.makedirs(flat)
+    os.makedirs(deep)
+    files = {
+        os.path.join(flat, FLAT_KEY + ".json"): summary,
+        os.path.join(flat, FLAT_KEY + ".npz"): blob,
+        os.path.join(deep, DEFLATED_KEY + ".json"): summary,
+        os.path.join(deep, DEFLATED_KEY + ".npz.z"): zlib.compress(blob, 6),
+        os.path.join(deep, "tmpaged0.tmp"): blob[:100],
+        os.path.join(deep, "tmpfresh.tmp"): blob[:100],
+        os.path.join(flat, "notes.txt"): b"kept",
+        os.path.join(root, ".layout.json"): b'{"depth":2}',
+    }
+    for path, data in files.items():
+        with open(path, "wb") as fh:
+            fh.write(data)
+    aged = [
+        os.path.join(flat, FLAT_KEY + ".json"),
+        os.path.join(flat, FLAT_KEY + ".npz"),
+        os.path.join(deep, DEFLATED_KEY + ".npz.z"),
+        os.path.join(deep, "tmpaged0.tmp"),
+    ]
+    stamp = time.time() - 3600.0  # past the grace window
+    for path in aged:
+        os.utime(path, (stamp, stamp))
+    return aged
+
+
+def test_legacy_store_files_are_strays_that_prune_collects(
+    tmp_path, result, capsys
 ):
-    """A damaged ``.layout.json`` only changes the depth new writes go
-    to: reads probe both depths, and ``cache migrate`` rewrites it."""
+    """Nothing of an earlier layout is read or listed; ``cache stats``
+    counts it and ``cache prune`` removes what is past the grace window,
+    with a budget and with ``--all``; re-puts land at depth 2."""
     from repro.analysis.suite import SuiteFrame
     from repro.cli import main
 
-    root = str(tmp_path)
-    keys = ["%02x" % (16 * i + 3) * 32 for i in range(len(results))]
-    cache = ResultCache(root=root, fanout=2)
-    for key, res in zip(keys, results):
-        cache.put(key, res)
-    want = dict(zip(keys, results))
-    (tmp_path / ".layout.json").write_bytes(marker)
-
-    def assert_readable(root, want):
+    for how in ("budget", "all"):
+        root = str(tmp_path / how)
+        aged = _legacy_store(root, result)
         reader = ResultCache(root=root, memory=False)
-        for key, res in want.items():
-            assert result_bytes(reader.get(key)) == result_bytes(res)
-        frame = SuiteFrame.open_dir(root)
-        assert frame.keys == sorted(want)
-        for i, key in enumerate(frame.keys):
-            assert frame.trace(i).tobytes() == want[key].trace.array().tobytes()
-            assert frame.column("energy_j")[i] == want[key].energy_j
+        assert reader.get(FLAT_KEY) is None
+        assert reader.get(DEFLATED_KEY) is None  # a summary without blob
+        assert FLAT_KEY not in reader
+        assert reader.keys() == [DEFLATED_KEY]
+        assert SuiteFrame.open_dir(root).keys == [DEFLATED_KEY]
 
-    assert_readable(root, want)
-    writer = ResultCache(root=root, memory=False)
-    assert writer.depth == 1  # the legacy default
-    writer.put("ee" * 32, results[0])
-    want["ee" * 32] = results[0]
-    assert_readable(root, want)
+        usage = disk_usage(root)
+        assert (usage.entries, usage.stray_files) == (1, 5)
+        assert main(["cache", "stats", "--cache-dir", root]) == 0
+        assert "5 stray file(s)" in capsys.readouterr().out
 
-    assert main(["cache", "migrate", "--cache-dir", root, "--fanout", "2"]) == 0
-    assert json.loads((tmp_path / ".layout.json").read_bytes()) == {"depth": 2}
-    assert store_depth(root) == 2
-    assert_readable(root, want)
+        if how == "budget":
+            assert prune(root, max_bytes=10**9)[0] == len(aged)
+            assert disk_usage(root).entries == 1
+        else:
+            assert main(["cache", "prune", "--all", "--cache-dir", root]) == 0
+            assert "pruned %d entries" % (len(aged) + 1) in (
+                capsys.readouterr().out
+            )
+            assert disk_usage(root).entries == 0
+        assert not any(os.path.exists(path) for path in aged)
+        assert disk_usage(root).stray_files == 1  # the fresh temp file
+        for kept in (
+            os.path.join(DEFLATED_KEY[:2], DEFLATED_KEY[2:4], "tmpfresh.tmp"),
+            os.path.join(FLAT_KEY[:2], "notes.txt"),
+            ".layout.json",
+        ):
+            assert os.path.exists(os.path.join(root, kept)), (how, kept)
+
+        ResultCache(root=root).put(FLAT_KEY, result)
+        entry = os.path.join(root, FLAT_KEY[:2], FLAT_KEY[2:4], FLAT_KEY)
+        assert os.path.exists(entry + ".json")
+        assert os.path.exists(entry + ".npz")
+        again = ResultCache(root=root, memory=False).get(FLAT_KEY)
+        assert result_bytes(again) == result_bytes(result)

@@ -56,3 +56,9 @@ def test_rejects_bad_horizon_and_core_counts():
         SimulationConfig(min_big_cores=0)
     with pytest.raises(ConfigurationError):
         SimulationConfig(min_big_cores=5)
+
+
+def test_rejects_negative_seed():
+    with pytest.raises(ConfigurationError, match="seed"):
+        SimulationConfig(seed=-5)
+    assert SimulationConfig(seed=0).seed == 0

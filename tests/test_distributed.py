@@ -14,6 +14,7 @@ from repro.distributed.protocol import (
     ProtocolError,
     chains_from_wire,
     chains_to_wire,
+    models_from_hello,
     parse_endpoints,
     recv_frame,
     result_from_wire,
@@ -62,7 +63,7 @@ def _summary_files(root):
     cache = ResultCache(root=root, memory=False)
     out = {}
     for key in cache.keys():
-        with open(cache._find_summary(key), "rb") as fh:
+        with open(cache._path(key), "rb") as fh:
             out[key] = fh.read()
     return out
 
@@ -94,6 +95,13 @@ def test_recv_frame_rejects_eof_garbage_and_oversize():
             recv_frame(b)
     finally:
         b.close()
+
+
+def test_hello_schema_must_be_a_json_integer():
+    assert models_from_hello({"op": "hello", "schema": 1}) is None
+    for schema in (True, 1.0, "1", 2, None):
+        with pytest.raises(ProtocolError, match="unsupported schema"):
+            models_from_hello({"op": "hello", "schema": schema})
 
 
 def _recv_sent(data):

@@ -53,6 +53,59 @@ def test_integration_step_size_invariance():
     assert np.allclose(net_a.temperatures_k, net_b.temperatures_k, atol=1e-9)
 
 
+#: Mixed step sizes (s): the exact ZOH step must not care how time is cut.
+MIXED_STEPS_S = (0.1, 1.0, 5.0, 0.1, 5.0, 1.0, 0.1, 0.1, 5.0, 1.0) * 3
+
+
+def test_one_node_transient_matches_the_exponential():
+    """One lump: T(t) = T_amb + P/g (1 - exp(-g t / C)) at every step."""
+    c, g, p, ambient = 20.0, 0.5, 3.0, 300.0
+    net = ThermalRCNetwork(
+        [ThermalNode("lump", c, g_ambient_w_per_k=g)], [], ambient
+    )
+    t = 0.0
+    for dt in MIXED_STEPS_S:
+        got = net.step([p], dt)[0]
+        t += dt
+        want = ambient + p / g * (1.0 - np.exp(-g * t / c))
+        assert abs(got - want) < 1e-9, (t, got - want)
+
+
+def test_chain_transient_matches_the_eigendecomposition():
+    """A 3-node chain from a non-uniform start against the closed form
+    T(t) = T_ss + V exp(L t) V^-1 (T_0 - T_ss) of dT/dt = A T + b, which
+    shares nothing with the augmented-matrix ``expm`` the network steps
+    with."""
+    caps = np.array([1.0, 5.0, 40.0])
+    g_amb = np.array([0.0, 0.0, 0.2])
+    ambient = 300.0
+    net = ThermalRCNetwork(
+        [
+            ThermalNode(name, cap, g_ambient_w_per_k=g)
+            for name, cap, g in zip("abc", caps, g_amb)
+        ],
+        [("a", "b", 0.8), ("b", "c", 0.4)],
+        ambient,
+    )
+    conductance = np.array([
+        [0.8, -0.8, 0.0],
+        [-0.8, 1.2, -0.4],
+        [0.0, -0.4, 0.4],
+    ]) + np.diag(g_amb)
+    power = np.array([2.0, 0.5, 0.0])
+    t0 = np.array([330.0, 315.0, 305.0])
+    t_ss = np.linalg.solve(conductance, power + g_amb * ambient)
+    lam, vec = np.linalg.eig(-conductance / caps[:, None])
+    coeffs = np.linalg.solve(vec, t0 - t_ss)
+    net.set_temperatures_k(t0)
+    t = 0.0
+    for dt in MIXED_STEPS_S:
+        got = net.step(power, dt)
+        t += dt
+        want = t_ss + (vec @ (np.exp(lam * t) * coeffs)).real
+        assert np.max(np.abs(got - want)) < 1e-9, (t, got - want)
+
+
 def test_cooling_gain_lowers_steady_state():
     net = _two_node()
     ss_slow = net.steady_state_k([1.0, 0.0])

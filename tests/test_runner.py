@@ -50,6 +50,10 @@ def test_spec_validation(workload):
         )
     with pytest.raises(ConfigurationError):
         RunSpec(workload=workload, mode=ThermalMode.NO_FAN, max_duration_s=0)
+    with pytest.raises(ConfigurationError, match="seed"):
+        # numpy's generators take no negative seed: refused up front
+        RunSpec(workload=workload, mode=ThermalMode.NO_FAN, seed=-1)
+    RunSpec(workload=workload, mode=ThermalMode.NO_FAN, seed=0)
 
 
 def test_spec_for_benchmark_resolves_names():
@@ -97,6 +101,8 @@ def test_matrix_rejects_empty_axes(workload):
             modes=(ThermalMode.NO_FAN,),
             guard_bands_k=(0.5,),
         )
+    with pytest.raises(ConfigurationError, match="base_seed"):
+        ExperimentMatrix(workloads=(workload,), base_seed=-3)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from repro.runner import (
     cached_build_models,
     disk_usage,
     load_trace_blob,
-    migrate,
     model_fingerprint,
     models_key,
     models_to_payload,
@@ -97,7 +96,7 @@ def test_corrupt_entry_is_a_miss(tmp_path, workload, result):
     cache = ResultCache(root=str(tmp_path), memory=False)
     key = spec_key(RunSpec(workload=workload, mode=ThermalMode.NO_FAN))
     cache.put(key, result)
-    path = os.path.join(str(tmp_path), key[:2], key + ".json")
+    path, _ = _entry_paths(tmp_path, key)
     with open(path, "w") as fh:
         fh.write("{not json")
     assert cache.get(key) is None  # miss, not an exception
@@ -115,8 +114,8 @@ def test_from_env_honours_cache_dir(tmp_path, monkeypatch):
 # v2 artifacts: summary JSON + npz trace blob
 # ---------------------------------------------------------------------------
 def _entry_paths(root, key):
-    shard = os.path.join(str(root), key[:2])
-    return os.path.join(shard, key + ".json"), os.path.join(shard, key + ".npz")
+    entry = os.path.join(str(root), key[:2], key[2:4], key)
+    return entry + ".json", entry + ".npz"
 
 
 def test_put_writes_v2_summary_plus_blob(tmp_path, workload, result):
@@ -173,13 +172,12 @@ def test_corrupt_blob_is_a_miss(tmp_path, workload, result):
         assert reader.get(key) is None, damaged[:16]
 
 
-@pytest.mark.parametrize("codec", ["plain", "deflate"])
-def test_damaged_blob_is_never_a_wrong_trace(tmp_path, codec):
+def test_damaged_blob_is_never_a_wrong_trace(tmp_path):
     """Overwrite 1-5 random bytes of a stored 2 s trace blob, 500 times:
     every read misses or raises ``SimulationError``, or returns the
-    original trace -- never a wrong one.  The zip CRC-32 guards a plain
-    blob's member and zlib's checksum a deflated blob.  The readers pass
-    ``mmap=True``, the ignored flag callers may still set."""
+    original trace -- never a wrong one: the zip CRC-32 guards the
+    blob's member.  The readers pass ``mmap=True``, the ignored flag
+    callers may still set."""
     root = str(tmp_path)
     short = ParallelRunner().run_one(
         RunSpec(
@@ -190,14 +188,10 @@ def test_damaged_blob_is_never_a_wrong_trace(tmp_path, codec):
     want, matrix = result_bytes(short), short.trace.array()
     key = "5a" * 32
     ResultCache(root=root, memory=False).put(key, short)
-    suffix = ".npz"
-    if codec == "deflate":
-        migrate(root, fanout=1, compress="deflate")
-        suffix = ".npz.z"
-    blob_path = os.path.join(root, key[:2], key + suffix)
+    _, blob_path = _entry_paths(root, key)
     with open(blob_path, "rb") as fh:
         pristine = fh.read()
-    rng = random.Random(codec)
+    rng = random.Random("plain")
     wrong = []
     for trial in range(500):
         damaged = bytearray(pristine)
@@ -251,9 +245,7 @@ def test_read_touches_entry_and_prune_is_lru(tmp_path, workload, result):
         cache.put(key, result)
     # backdate every summary, then read the *oldest-written* entry: the
     # access touch must move it to the head of the survival order
-    paths = [
-        os.path.join(str(tmp_path), k[:2], k + ".json") for k in keys
-    ]
+    paths = [_entry_paths(tmp_path, k)[0] for k in keys]
     for age, path in zip((3000.0, 2000.0, 1000.0), paths):
         stamp = os.path.getmtime(path) - age
         os.utime(path, (stamp, stamp))
@@ -291,7 +283,7 @@ def test_prune_keeps_a_read_result_and_fresh_readers_miss(
     removed, freed = prune(str(tmp_path), max_bytes=None)
     assert removed == 1 and freed > 0
     assert disk_usage(str(tmp_path)).entries == 0
-    assert disk_usage(str(tmp_path)).orphan_blobs == 0
+    assert disk_usage(str(tmp_path)).stray_files == 0
 
     assert result_bytes(held) == result_bytes(result)
     assert ResultCache(root=str(tmp_path), memory=False).get(key) is None
@@ -312,15 +304,15 @@ def test_half_removed_entry_reads_as_miss_and_reprunes(tmp_path, workload, resul
 
 
 def test_prune_collects_stale_orphan_blobs_keeps_models(tmp_path):
-    shard = tmp_path / "ab"
-    shard.mkdir()
-    orphan = shard / ("ab" + "0" * 62 + ".npz")
+    shard = tmp_path / "ab" / "00"
+    shard.mkdir(parents=True)
+    orphan = shard / ("ab00" + "0" * 60 + ".npz")
     orphan.write_bytes(b"orphan")
     models_dir = tmp_path / "models"
     models_dir.mkdir()
     (models_dir / "deadbeef.json").write_text("{}")
     usage = disk_usage(str(tmp_path))
-    assert usage.orphan_blobs == 1 and usage.model_entries == 1
+    assert usage.stray_files == 1 and usage.model_entries == 1
     # a fresh orphan may belong to an in-flight writer: left alone
     removed, _ = prune(str(tmp_path), max_bytes=10**9)
     assert removed == 0 and orphan.exists()
@@ -335,40 +327,36 @@ def test_prune_collects_stale_orphan_blobs_keeps_models(tmp_path):
 def test_stats_and_prune_skip_entries_vanishing_mid_walk(
     tmp_path, result, monkeypatch
 ):
-    """An entry a concurrent prune/migrate/re-put removes after the
-    directory listing is skipped, not a FileNotFoundError."""
+    """An entry or stray file a concurrent prune or re-put removes after
+    the directory listing is skipped, not a FileNotFoundError."""
     import repro.runner.cache as cache_mod
 
     root = str(tmp_path)
-    entries = cache_mod._iter_entries
-    orphans = cache_mod._iter_orphan_blobs
+    scan = cache_mod._scan_shard
 
-    def vanishing_entries(walk_root):
-        for key, json_path, blob_path in entries(walk_root):
+    def vanishing_scan(walk_root, shard):
+        entries, strays = scan(walk_root, shard)
+        for _key, json_path, blob_path in entries:
             os.unlink(blob_path)
             os.unlink(json_path)
-            yield key, json_path, blob_path
-
-    def vanishing_orphans(walk_root, known):
-        for path in orphans(walk_root, known):
+        for path in strays:
             os.unlink(path)
-            yield path
+        return entries, strays
 
-    monkeypatch.setattr(cache_mod, "_iter_entries", vanishing_entries)
-    monkeypatch.setattr(cache_mod, "_iter_orphan_blobs", vanishing_orphans)
+    monkeypatch.setattr(cache_mod, "_scan_shard", vanishing_scan)
 
     def fill():
         cache = ResultCache(root=root, memory=False)
         for key in ("a1" * 32, "b2" * 32):
             cache.put(key, result)
-        orphan = tmp_path / "c3" / ("c3" * 32 + ".npz")
-        orphan.parent.mkdir(exist_ok=True)
+        orphan = tmp_path / "c3" / "c3" / ("c3" * 32 + ".npz")
+        orphan.parent.mkdir(parents=True, exist_ok=True)
         orphan.write_bytes(b"orphan")
         os.utime(orphan, (0, 0))  # past the orphan grace window
 
     fill()
     usage = disk_usage(root)
-    assert usage.entries == 0 and usage.orphan_blobs == 0
+    assert usage.entries == 0 and usage.stray_files == 0
     fill()
     assert prune(root, max_bytes=None) == (0, 0)
 

@@ -177,6 +177,59 @@ def test_malformed_payloads_get_structured_400(service):
         assert body["error"]["type"] == "WireError"
         assert fragment in body["error"]["message"]
 
+    # well-typed, but a value no run can take: refused by the domain
+    # checks the Python constructors apply, not by a failed job
+    for path, payload, fragment in [
+        ("/v1/runs", dict(run, seed=-1), "seed"),
+        ("/v1/runs", dict(run, config={"seed": -5}), "seed"),
+        ("/v1/matrix", {"schema": 1, "workloads": ["dijkstra"],
+                        "base_seed": -3}, "base_seed"),
+    ]:
+        status, body = _post(service, path, payload)
+        assert status == 400, payload
+        assert body["error"]["type"] == "ConfigurationError"
+        assert fragment in body["error"]["message"]
+
+
+def test_trace_route_falls_back_when_a_prune_wins_the_race(
+    tmp_path, monkeypatch
+):
+    """A prune that unlinks the blob after the trace route picked its path
+    sends the route to ``cache.get``: 404 without the memory layer, the
+    blob rebuilt from memory with it -- never a 500."""
+    import os
+
+    import repro.service.http as http_mod
+    from repro.runner import trace_blob_bytes
+
+    result = ParallelRunner(workers=1).run([_spec(seed=15)])[0]
+    key = "ab" * 32
+
+    def pruned_first(path, *args, **kwargs):
+        if str(path).endswith(".npz"):
+            os.unlink(path)  # the prune's first step: blob before summary
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(http_mod, "open", pruned_first, raising=False)
+    for memory, want in ((False, 404), (True, 200)):
+        cache = ResultCache(root=str(tmp_path / str(memory)), memory=memory)
+        cache.put(key, result)
+        svc = EvaluationService(cache=cache, workers=1).start()
+        try:
+            url = svc.url + "/v1/runs/%s/trace" % key
+            try:
+                with urllib.request.urlopen(url, timeout=60) as resp:
+                    status, body = resp.status, resp.read()
+            except urllib.error.HTTPError as err:
+                status, body = err.code, err.read()
+        finally:
+            svc.shutdown(drain=False)
+        assert status == want, body
+        if memory:
+            assert body == trace_blob_bytes(result)
+        else:
+            assert json.loads(body)["error"]["type"] == "unknown_key"
+
 
 def test_unknown_key_and_job_are_404(service):
     status, body = _get(service, "/v1/runs/" + "0" * 64)

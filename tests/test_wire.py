@@ -144,6 +144,18 @@ def test_wrong_schema_version_is_rejected():
         spec_from_wire({"schema": 99, "workload": "dijkstra", "mode": "dtpm"})
 
 
+@pytest.mark.parametrize("schema", [True, 1.0], ids=["true", "float"])
+@pytest.mark.parametrize("decode, payload", [
+    (spec_from_wire, {"workload": "dijkstra", "mode": "dtpm"}),
+    (matrix_from_wire, {"workloads": ["dijkstra"]}),
+], ids=["spec", "matrix"])
+def test_ill_typed_schema_version_is_rejected(decode, payload, schema):
+    """The version is a JSON integer: ``true == 1`` and ``1.0 == 1`` in
+    Python, but neither names schema 1."""
+    with pytest.raises(WireError, match="unsupported schema"):
+        decode(dict(payload, schema=schema))
+
+
 def test_unknown_field_is_rejected_with_its_name():
     with pytest.raises(WireError, match="bogus"):
         spec_from_wire(
