@@ -11,25 +11,37 @@ from conftest import save_artifact
 
 from repro.analysis.tables import render_table
 from repro.config import SimulationConfig
+from repro.power.characterization import default_power_model
+from repro.runner import model_fingerprint
 from repro.sim.engine import Simulator, ThermalMode
 from repro.sim.experiment import make_dtpm_governor
-from repro.sim.models import build_models
+from repro.sim.models import ModelBundle, identify_thermal
+from repro.thermal.sysid import PrbsExperiment
 from repro.workloads.benchmarks import BASICMATH
 
 
-def _run_with(method):
-    bundle = build_models(method=method)
-    governor = make_dtpm_governor(bundle)
-    sim = Simulator(
-        BASICMATH, ThermalMode.DTPM, dtpm=governor, warm_start_c=52.0
-    )
-    return bundle, sim.run()
+def _ablation(methods):
+    sessions = PrbsExperiment().run_all()
+    results = {}
+    for method in methods:
+        bundle = ModelBundle(
+            thermal=identify_thermal(sessions, method),
+            power=default_power_model(),
+        )
+        sim = Simulator(
+            BASICMATH,
+            ThermalMode.DTPM,
+            dtpm=make_dtpm_governor(bundle),
+            warm_start_c=52.0,
+        )
+        results[method] = (bundle, sim.run())
+    return results
 
 
-def test_ablation_identification(benchmark):
+def test_ablation_identification(benchmark, models):
     methods = ("joint", "staged", "structured")
     results = benchmark.pedantic(
-        lambda: {m: _run_with(m) for m in methods}, rounds=1, iterations=1
+        lambda: _ablation(methods), rounds=1, iterations=1
     )
     constraint = SimulationConfig().t_constraint_c
     table = render_table(
@@ -52,6 +64,10 @@ def test_ablation_identification(benchmark):
     for method, (bundle, run) in results.items():
         assert bundle.thermal.is_stable(), method
         assert run.completed, method
+    # the one campaign is the one build_models() runs
+    assert model_fingerprint(results["structured"][0]) == model_fingerprint(
+        models
+    )
     # the structured estimator's hot-core persistence buys the tightest
     # regulation on this imbalanced workload
     structured = results["structured"][1]

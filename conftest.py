@@ -13,7 +13,15 @@ import pytest
 
 @pytest.fixture(scope="session")
 def models():
-    """Characterized + identified model bundle (built once per session)."""
-    from repro.runner import cached_build_models
+    """Characterized + identified model bundle (built once per session).
 
+    Without a cache directory this is the process-wide
+    :func:`~repro.sim.models.default_models` bundle, which the runner's
+    default paths share; with one, the on-disk model store serves it.
+    """
+    from repro.runner import cached_build_models, default_cache_dir
+    from repro.sim.models import default_models
+
+    if default_cache_dir() is None:
+        return default_models()
     return cached_build_models()

@@ -24,7 +24,6 @@ from repro import (
     SystemIdentifier,
     ThermalMode,
 )
-from repro.platform.specs import POWER_RESOURCES
 from repro.thermal.validation import error_vs_horizon
 from repro.units import celsius_to_kelvin
 from repro.workloads.benchmarks import BLOWFISH
@@ -59,18 +58,17 @@ def furnace_step():
 def sysid_step():
     print("=" * 70)
     print("Step 2: PRBS excitation + system identification")
-    experiment = PrbsExperiment(duration_s=1050.0)
-    sessions = []
-    for resource in POWER_RESOURCES:
-        session = experiment.run_session(resource)
-        sessions.append(session)
+    # the four sessions run as one lock-step on the batched plant: about
+    # the cost of one session run alone
+    sessions = PrbsExperiment(duration_s=1050.0).run_all()
+    for j, session in enumerate(sessions):
         print(
             "  %s session: %d samples, P in [%.2f, %.2f] W"
             % (
-                resource,
+                session.resource,
                 session.steps,
-                session.powers_w[:, POWER_RESOURCES.index(resource)].min(),
-                session.powers_w[:, POWER_RESOURCES.index(resource)].max(),
+                session.powers_w[:, j].min(),
+                session.powers_w[:, j].max(),
             )
         )
     model = SystemIdentifier().identify_structured(sessions)

@@ -66,7 +66,7 @@ from repro.sim.metrics import (
     power_savings_pct,
     summarize_categories,
 )
-from repro.sim.models import build_models, default_models
+from repro.sim.models import ESTIMATORS, build_models, default_models
 from repro.sim.sweep import (
     sweep_constraint,
     sweep_guard_band,
@@ -589,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ident.add_argument("--furnace", action="store_true",
                          help="run the furnace characterization too")
     p_ident.add_argument("--method", default="structured",
-                         choices=("structured", "staged", "joint"))
+                         choices=tuple(ESTIMATORS))
     p_ident.set_defaults(func=_cmd_identify)
 
     p_run = sub.add_parser("run", help="run one benchmark")

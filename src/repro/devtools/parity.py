@@ -96,8 +96,8 @@ class ParityManifestRule(Rule):
 
         for ctx, defs in self._defs:
             for qualname, line in defs.items():
-                if not qualname.endswith("_batch"):
-                    continue
+                # a registered batch side is checked whatever its name
+                # (``DtpmGovernor.stack``, ``PrbsExperiment.run_all``)
                 entry = next(
                     (
                         p for p in pairs
@@ -108,6 +108,8 @@ class ParityManifestRule(Rule):
                 )
                 if entry is not None:
                     self._check_entry(ctx, defs, entry, line)
+                    continue
+                if not qualname.endswith("_batch"):
                     continue
                 scalar = qualname[: -len("_batch")]
                 if scalar in defs:

@@ -2,10 +2,12 @@
 
 Building a :class:`~repro.sim.models.ModelBundle` means running the whole
 Chapter-4 methodology (furnace characterization + PRBS campaign + system
-identification) -- ~10 s of wall clock, by far the most expensive step of
-a warm-cache sweep.  The outcome is tiny (a 4x4 state space plus four
-leakage fits), so the store keeps it as canonical JSON next to the run
-results, keyed by a stable hash of the build inputs.
+identification) -- about 3.5 s of wall clock for the default 1050 s
+campaign on a 2-core x86 host, plus about 1.5 s when the furnace runs
+too; by far the most expensive step of a warm-cache sweep.  The outcome
+is tiny (a 4x4 state space plus four leakage fits), so the store keeps it
+as canonical JSON next to the run results, keyed by a stable hash of the
+build inputs.
 
 :func:`cached_build_models` is the drop-in replacement for
 :func:`repro.sim.models.build_models` used by the CLI and the benchmark

@@ -352,7 +352,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _serve_trace(self, key: str) -> None:
         cache = self.service.cache
-        if cache.root is not None:
+        # a blob is served only under a summary that landed: a blob alone
+        # is a stray file that get() and the frames never read
+        if cache.root is not None and key in cache:
             # one open: a prune that unlinks the blob before it is a miss
             # here, one that unlinks it after leaves the open file whole
             try:

@@ -11,8 +11,15 @@ The paper's protocol, reproduced here against the simulated board:
    (we use ridge-regularised LS; the paper used the MATLAB System
    Identification Toolbox, which solves the same prediction-error problem).
 
-Both a joint estimator over all sessions and the paper's staged
-per-resource estimator are provided.
+The four sessions run on four boards in lock-step through the batched
+plant (:class:`~repro.platform.state.BatchPlant`): one plant advance and
+one sensor read per control step cover all of them, and the safety
+throttle is a per-lane mask.  A session's data are the same whether it
+runs alone or with the other three.
+
+A joint estimator over all sessions, the paper's staged per-resource
+estimator and a structured estimator that exploits the symmetric core
+layout are provided; one campaign serves all three.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import numpy as np
 from repro.config import SimulationConfig
 from repro.errors import IdentificationError
 from repro.platform.specs import PlatformSpec, POWER_RESOURCES, Resource
+from repro.thermal import floorplan
 from repro.thermal.prbs import PrbsSignal
 from repro.thermal.state_space import DiscreteThermalModel
 
@@ -57,13 +65,21 @@ class IdentificationSession:
 
 
 class PrbsExperiment:
-    """Runs the per-resource PRBS excitation against a simulated board.
+    """Runs the per-resource PRBS excitation against simulated boards.
 
     Identification runs with the fan disabled, matching the deployment
     condition of the DTPM algorithm (which exists to *replace* the fan).
     A safety throttle drops the excitation to its low level above
     ``safety_temp_c`` -- the paper likewise limited run time on hot
     workloads "to avoid physical damage to the device".
+
+    Each session excites its resource on a board of its own;
+    :meth:`run_all` advances the four boards in lock-step on the batched
+    plant and :meth:`run_session` is the same lock-step over one board.
+    The excitation levels and the core-utilisation PRBS are sampled
+    before the first step.  The throttle is a mask over the boards: one
+    whose hottest true core is above ``safety_temp_c`` at the start of a
+    step runs that step at its low level.
     """
 
     def __init__(
@@ -87,8 +103,92 @@ class PrbsExperiment:
     # ------------------------------------------------------------------
     def run_session(self, resource: Resource) -> IdentificationSession:
         """Excite one resource with PRBS and log sensor data."""
+        return self._lock_step([resource])[0]
+
+    def run_all(self) -> List[IdentificationSession]:
+        """Run the four per-resource sessions, in the paper's order."""
+        return self._lock_step(POWER_RESOURCES)
+
+    def _lock_step(
+        self, resources: Sequence[Resource]
+    ) -> List[IdentificationSession]:
+        """One session per resource, all advanced as one batch."""
         # Imported here: the board itself depends on repro.thermal (for the
         # ground-truth plant), so a module-level import would be circular.
+        from repro.platform.sensors import SensorBank
+        from repro.platform.state import BatchPlant
+
+        dt = self.config.control_period_s
+        steps = int(round(self.duration_s / dt))
+        # Per-core utilisation PRBS during the CPU sessions decorrelates the
+        # four hotspot sensors, so identification can attribute each core's
+        # future temperature to its *own* present temperature instead of the
+        # cluster average -- essential for the budget equation to target the
+        # hottest core (Eq. 5.5) under imbalanced real workloads.
+        # Chips are long (~2 spread time constants) so inter-core temperature
+        # differences fully develop and the spread mode is identifiable.
+        core_utils = np.column_stack(
+            [
+                PrbsSignal(
+                    0.25, 1.0, self.chip_s * 5.0, self.prbs_order, seed=17 + i
+                ).sample(self.duration_s, dt)
+                for i in range(4)
+            ]
+        )
+        boards, signals, big, little = zip(
+            *(self._lane(r, core_utils) for r in resources)
+        )
+        levels = np.stack([s.sample(self.duration_s, dt) for s in signals])
+        lows = np.array([s.low for s in signals])
+        big_utils = np.stack([np.broadcast_to(u, core_utils.shape) for u in big])
+        little_utils = np.stack(
+            [np.broadcast_to(u, core_utils.shape) for u in little]
+        )
+
+        plant = BatchPlant(boards)
+        lanes = np.arange(len(boards))
+        state = plant.gather(lanes)
+        hot = floorplan.hot_indices(plant.network)
+        sensors = SensorBank.stack([b.sensors for b in boards])
+        activity = np.ones(len(boards))
+        # each board excites one knob of [big f, little f, GPU f, memory
+        # traffic] (the POWER_RESOURCES order): one cell of this table
+        knobs = np.column_stack(
+            (state.big_freq_hz, state.little_freq_hz, state.gpu_freq_hz,
+             state.mem_traffic)
+        )
+        excited = (lanes, [POWER_RESOURCES.index(r) for r in resources])
+        temps = np.empty((len(boards), steps, 4))
+        powers = np.empty((len(boards), steps, 4))
+        for step in range(steps):
+            hot_c = np.max(state.temps_k[:, hot], axis=1) - 273.15
+            knobs[excited] = np.where(
+                hot_c > self.safety_temp_c, lows, levels[:, step]
+            )
+            state.big_freq_hz, state.little_freq_hz = knobs[:, 0], knobs[:, 1]
+            state.gpu_freq_hz, state.mem_traffic = knobs[:, 2], knobs[:, 3]
+            plant.advance_interval(
+                state, lanes, big_utils[:, step], little_utils[:, step],
+                activity, activity, dt_s=dt, substeps=1,
+            )
+            temps[:, step], powers[:, step] = sensors.read_all(
+                state.temps_k[:, hot], state.powers_w
+            )
+
+        return [
+            IdentificationSession(
+                resource=r, temps_k=temps[i], powers_w=powers[i], ts_s=dt
+            )
+            for i, r in enumerate(resources)
+        ]
+
+    def _lane(self, resource: Resource, core_utils: np.ndarray) -> tuple:
+        """One session's warm board, excitation signal and core loads.
+
+        Returns ``(board, signal, big_utils, little_utils)``; a CPU
+        session's excited cluster runs ``core_utils``, every other core
+        load is constant.
+        """
         from repro.platform.board import OdroidBoard
 
         # zlib.crc32, not hash(): str hashing is randomised per process
@@ -102,23 +202,11 @@ class PrbsExperiment:
 
         # Constant background so the B columns are not confounded.
         gpu_util, mem_traffic = 0.05, 0.15
-        big_utils = (1.0, 1.0, 1.0, 1.0)
-        little_utils = (0.0,) * 4
+        big_utils, little_utils = np.ones(4), np.zeros(4)
         board.soc.gpu.set_frequency(self.spec.gpu_opp.f_min_hz)
 
-        # Per-core utilisation PRBS during the CPU sessions decorrelates the
-        # four hotspot sensors, so identification can attribute each core's
-        # future temperature to its *own* present temperature instead of the
-        # cluster average -- essential for the budget equation to target the
-        # hottest core (Eq. 5.5) under imbalanced real workloads.
-        # Chips are long (~2 spread time constants) so inter-core temperature
-        # differences fully develop and the spread mode is identifiable.
-        core_signals = [
-            PrbsSignal(0.25, 1.0, self.chip_s * 5.0, self.prbs_order, seed=17 + i)
-            for i in range(4)
-        ]
-
         if resource is Resource.BIG:
+            big_utils = core_utils
             signal = PrbsSignal(
                 self.spec.big_opp.f_min_hz,
                 self.spec.big_opp.f_max_hz,
@@ -128,7 +216,7 @@ class PrbsExperiment:
             )
         elif resource is Resource.LITTLE:
             board.soc.switch_cluster(Resource.LITTLE)
-            big_utils, little_utils = (0.0,) * 4, (1.0, 1.0, 1.0, 1.0)
+            big_utils, little_utils = np.zeros(4), core_utils
             signal = PrbsSignal(
                 self.spec.little_opp.f_min_hz,
                 self.spec.little_opp.f_max_hz,
@@ -138,7 +226,7 @@ class PrbsExperiment:
             )
         elif resource is Resource.GPU:
             board.soc.big.set_frequency(self.spec.big_opp.f_min_hz)
-            big_utils = (0.2, 0.05, 0.05, 0.05)
+            big_utils = np.array([0.2, 0.05, 0.05, 0.05])
             gpu_util = 0.85
             signal = PrbsSignal(
                 self.spec.gpu_opp.f_min_hz,
@@ -149,55 +237,13 @@ class PrbsExperiment:
             )
         elif resource is Resource.MEM:
             board.soc.big.set_frequency(self.spec.big_opp.f_min_hz)
-            big_utils = (0.2, 0.05, 0.05, 0.05)
+            big_utils = np.array([0.2, 0.05, 0.05, 0.05])
             signal = PrbsSignal(0.05, 0.95, self.chip_s, self.prbs_order, seed=13)
         else:  # pragma: no cover - defensive
             raise IdentificationError("unknown resource %r" % resource)
-
-        dt = self.config.control_period_s
-        steps = int(round(self.duration_s / dt))
-        temps: List[np.ndarray] = []
-        powers: List[np.ndarray] = []
-        for step in range(steps):
-            level = signal.value_at(step * dt)
-            hot_c = float(np.max(board.true_hotspots_k())) - 273.15
-            throttled = hot_c > self.safety_temp_c
-            if resource in (Resource.BIG, Resource.LITTLE):
-                utils = tuple(s.value_at(step * dt) for s in core_signals)
-                if resource is Resource.BIG:
-                    big_utils = utils
-                else:
-                    little_utils = utils
-            if resource is Resource.BIG:
-                board.soc.big.set_frequency(signal.low if throttled else level)
-            elif resource is Resource.LITTLE:
-                board.soc.little.set_frequency(signal.low if throttled else level)
-            elif resource is Resource.GPU:
-                board.soc.gpu.set_frequency(signal.low if throttled else level)
-            else:
-                mem_traffic = signal.low if throttled else level
-
-            board.step(
-                big_utils,
-                little_utils,
-                gpu_utilisation=gpu_util,
-                mem_traffic=mem_traffic,
-                dt_s=dt,
-            )
-            snap = board.read_sensors()
-            temps.append(snap.temperatures_k)
-            powers.append(snap.powers_w)
-
-        return IdentificationSession(
-            resource=resource,
-            temps_k=np.stack(temps),
-            powers_w=np.stack(powers),
-            ts_s=dt,
-        )
-
-    def run_all(self) -> List[IdentificationSession]:
-        """Run the four per-resource sessions in the paper's order."""
-        return [self.run_session(r) for r in POWER_RESOURCES]
+        board.soc.gpu.set_utilisation(gpu_util)
+        board.soc.mem.set_traffic(mem_traffic)
+        return board, signal, big_utils, little_utils
 
 
 class SystemIdentifier:

@@ -202,6 +202,26 @@ def test_rpr031_fires_when_test_never_mentions_batch_fn(tmp_path):
     assert "never mentions" in findings[0].message
 
 
+def test_rpr031_checks_the_pinning_test_of_any_registered_pair(tmp_path):
+    """A registered batch side not named ``*_batch`` still needs its test."""
+    pair = dict(_PAIR, batch="run_all", test="tests/pin_run_all.py")
+    config = _parity_setup(tmp_path, [pair], """\
+        def step(x):
+            return x + 1
+
+        def run_all(xs):
+            return [x + 1 for x in xs]
+    """)
+    findings = lint_paths([str(tmp_path / "pkg")], config)
+    assert rules_of(findings) == ["RPR031"]
+    assert findings[0].line == 4
+    assert "does not exist" in findings[0].message
+    (tmp_path / "tests" / "pin_run_all.py").write_text(
+        "def test_parity():\n    assert run_all is not None\n"
+    )
+    assert rules_of(lint_paths([str(tmp_path / "pkg")], config)) == []
+
+
 def test_rpr031_fires_on_stale_manifest_entry(tmp_path):
     config = _parity_setup(tmp_path, [_PAIR], """\
         def unrelated(x):

@@ -231,6 +231,25 @@ def test_trace_route_falls_back_when_a_prune_wins_the_race(
             assert json.loads(body)["error"]["type"] == "unknown_key"
 
 
+def test_blob_without_a_summary_is_not_served(tmp_path):
+    """A blob whose summary never landed is a stray file that ``get`` and
+    the frames never read, so the trace route answers 404 like the
+    summary route."""
+    result = ParallelRunner(workers=1).run([_spec(seed=16)])[0]
+    key = "cd" * 32
+    ResultCache(root=str(tmp_path)).put(key, result)
+    (summary,) = tmp_path.rglob(key + ".json")
+    summary.unlink()
+    svc = EvaluationService(cache=ResultCache(root=str(tmp_path)),
+                            workers=1).start()
+    try:
+        for path in ("/v1/runs/" + key, "/v1/runs/%s/trace" % key):
+            status, body = _get(svc, path)
+            assert status == 404 and body["error"]["type"] == "unknown_key"
+    finally:
+        svc.shutdown(drain=False)
+
+
 def test_unknown_key_and_job_are_404(service):
     status, body = _get(service, "/v1/runs/" + "0" * 64)
     assert status == 404 and body["error"]["type"] == "unknown_key"

@@ -1,10 +1,14 @@
 """System identification: estimators and the PRBS experiment protocol."""
 
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.errors import IdentificationError
+from repro.platform.board import OdroidBoard
 from repro.platform.specs import POWER_RESOURCES, Resource
+from repro.thermal.prbs import PrbsSignal
 from repro.thermal.state_space import DiscreteThermalModel
 from repro.thermal.sysid import (
     IdentificationSession,
@@ -154,3 +158,104 @@ def test_structured_requires_big_session(campaign):
     without_big = [s for s in campaign if s.resource is not Resource.BIG]
     with pytest.raises(IdentificationError):
         SystemIdentifier().identify_structured(without_big)
+
+
+# ---- the lock-step against the scalar per-session loop ---------------------
+def _scalar_session(exp, resource):
+    """One session as a lone board stepped by ``OdroidBoard.step`` and read
+    by ``read_sensors`` -- a transcription of the per-session loop that
+    ``PrbsExperiment`` ran before its sessions became one lock-step."""
+    config = exp.config.with_(
+        seed=exp.seed + zlib.crc32(resource.value.encode("ascii")) % 1000
+    )
+    board = OdroidBoard(exp.spec, config, fan_enabled=False)
+    board.warm_start(hotspot_c=config.ambient_c + 12.0)
+
+    gpu_util, mem_traffic = 0.05, 0.15
+    big_utils = (1.0, 1.0, 1.0, 1.0)
+    little_utils = (0.0,) * 4
+    board.soc.gpu.set_frequency(exp.spec.gpu_opp.f_min_hz)
+    core_signals = [
+        PrbsSignal(0.25, 1.0, exp.chip_s * 5.0, exp.prbs_order, seed=17 + i)
+        for i in range(4)
+    ]
+    if resource is Resource.BIG:
+        opp = exp.spec.big_opp
+        signal = PrbsSignal(opp.f_min_hz, opp.f_max_hz, exp.chip_s,
+                            exp.prbs_order, seed=3)
+    elif resource is Resource.LITTLE:
+        board.soc.switch_cluster(Resource.LITTLE)
+        big_utils, little_utils = (0.0,) * 4, (1.0, 1.0, 1.0, 1.0)
+        opp = exp.spec.little_opp
+        signal = PrbsSignal(opp.f_min_hz, opp.f_max_hz, exp.chip_s,
+                            exp.prbs_order, seed=5)
+    elif resource is Resource.GPU:
+        board.soc.big.set_frequency(exp.spec.big_opp.f_min_hz)
+        big_utils = (0.2, 0.05, 0.05, 0.05)
+        gpu_util = 0.85
+        opp = exp.spec.gpu_opp
+        signal = PrbsSignal(opp.f_min_hz, opp.f_max_hz, exp.chip_s,
+                            exp.prbs_order, seed=11)
+    else:
+        board.soc.big.set_frequency(exp.spec.big_opp.f_min_hz)
+        big_utils = (0.2, 0.05, 0.05, 0.05)
+        signal = PrbsSignal(0.05, 0.95, exp.chip_s, exp.prbs_order, seed=13)
+
+    dt = exp.config.control_period_s
+    temps, powers = [], []
+    for step in range(int(round(exp.duration_s / dt))):
+        level = signal.value_at(step * dt)
+        hot_c = float(np.max(board.true_hotspots_k())) - 273.15
+        throttled = hot_c > exp.safety_temp_c
+        if resource in (Resource.BIG, Resource.LITTLE):
+            utils = tuple(s.value_at(step * dt) for s in core_signals)
+            if resource is Resource.BIG:
+                big_utils = utils
+            else:
+                little_utils = utils
+        level = signal.low if throttled else level
+        if resource is Resource.BIG:
+            board.soc.big.set_frequency(level)
+        elif resource is Resource.LITTLE:
+            board.soc.little.set_frequency(level)
+        elif resource is Resource.GPU:
+            board.soc.gpu.set_frequency(level)
+        else:
+            mem_traffic = level
+        board.step(big_utils, little_utils, gpu_utilisation=gpu_util,
+                   mem_traffic=mem_traffic, dt_s=dt)
+        snap = board.read_sensors()
+        temps.append(snap.temperatures_k)
+        powers.append(snap.powers_w)
+    return np.stack(temps), np.stack(powers)
+
+
+@pytest.fixture(scope="module")
+def throttled():
+    """A short campaign whose safety throttle fires in every session."""
+    exp = PrbsExperiment(duration_s=60.0, safety_temp_c=36.0)
+    return exp, exp.run_all()
+
+
+def test_lock_step_matches_the_scalar_loop(throttled):
+    exp, sessions = throttled
+    assert [s.resource for s in sessions] == list(POWER_RESOURCES)
+    for session in sessions:
+        temps, powers = _scalar_session(exp, session.resource)
+        np.testing.assert_array_equal(session.temps_k, temps)
+        np.testing.assert_array_equal(session.powers_w, powers)
+
+
+def test_throttle_changes_every_session(throttled):
+    _, sessions = throttled
+    free = PrbsExperiment(duration_s=60.0).run_all()
+    for hot, cool in zip(sessions, free):
+        assert not np.array_equal(hot.powers_w, cool.powers_w), hot.resource
+
+
+def test_run_session_is_one_lane_of_run_all(throttled):
+    exp, sessions = throttled
+    for session in sessions:
+        alone = exp.run_session(session.resource)
+        np.testing.assert_array_equal(alone.temps_k, session.temps_k)
+        np.testing.assert_array_equal(alone.powers_w, session.powers_w)
