@@ -368,3 +368,105 @@ def test_body_cut_short_by_the_client_is_a_400(service):
     assert _error_of(reply) == (400, "incomplete_body")
     # and the server still answers afterwards
     assert _get(service, "/healthz")[0] == 200
+
+
+# ---------------------------------------------------------------------------
+# request heads: the service reads HTTP/1.1 headers itself
+# ---------------------------------------------------------------------------
+def _raw(service, request):
+    """Send raw request bytes; return everything the server sends before
+    it closes the connection (5 s socket timeout)."""
+    import socket
+
+    with socket.create_connection(service.address, timeout=5.0) as sock:
+        sock.sendall(request)
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return reply
+            reply += chunk
+
+
+def _status_of(reply):
+    return int(reply.split(b"\r\n", 1)[0].split()[1])
+
+
+def test_connection_close_and_http_1_0_end_the_connection(service):
+    # each reply arrives whole and the server then closes the socket,
+    # so _raw returns instead of timing out
+    close = _raw(service, b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                          b"Connection: close\r\n\r\n")
+    old = _raw(service, b"GET /healthz HTTP/1.0\r\n\r\n")
+    for reply in (close, old):
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert _status_of(reply) == 200
+        assert json.loads(body)["ok"] is True
+    # a request line without a version is answered with the body alone
+    assert json.loads(_raw(service, b"GET /healthz\r\n\r\n"))["ok"] is True
+
+
+def test_reply_head_has_the_stdlib_fields(service):
+    from email.utils import parsedate_to_datetime
+
+    reply = _raw(service, b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                          b"Connection: close\r\n\r\n")
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status, *lines = head.decode("latin-1").split("\r\n")
+    fields = dict(line.split(": ", 1) for line in lines)
+    assert status == "HTTP/1.1 200 OK"
+    assert sorted(fields) == [
+        "Content-Length", "Content-Type", "Date", "Server"
+    ]
+    assert fields["Server"].startswith("repro-dtpm ")
+    assert fields["Content-Type"] == "application/json"
+    assert int(fields["Content-Length"]) == len(body)
+    age_s = time.time() - parsedate_to_datetime(fields["Date"]).timestamp()
+    assert -1.0 <= age_s < 60.0
+
+
+def test_malformed_header_lines_are_400(service):
+    head = b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+    for extra in (
+        b"no colon here\r\n",
+        b"X-A: 1\r\n folded: 2\r\n",  # obsolete line folding
+    ):
+        assert _status_of(_raw(service, head + extra + b"\r\n")) == 400
+    assert _get(service, "/healthz")[0] == 200
+
+
+def test_header_limits_match_the_stdlib(service):
+    # an HTTP/1.0 request line takes the stdlib's parse_request
+    def fields(n):
+        return b"".join(b"X-%d: 1\r\n" % i for i in range(n))
+
+    for version in (b"HTTP/1.1", b"HTTP/1.0"):
+        head = b"GET /healthz " + version + b"\r\nConnection: close\r\n"
+        for extra, status in [
+            (fields(98), 200),  # 99 header lines
+            (fields(99), 431),  # 100 header lines
+            (b"X-Long: " + b"a" * 65536 + b"\r\n", 431),
+        ]:
+            reply = _raw(service, head + extra + b"\r\n")
+            assert _status_of(reply) == status, (version, status)
+
+
+def test_expect_100_continue_is_answered_before_the_body(service):
+    import socket
+
+    body = b"{nope"
+    with socket.create_connection(service.address, timeout=5.0) as sock:
+        sock.sendall(
+            b"POST /v1/runs HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Type: application/json\r\nExpect: 100-continue\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body)
+        )
+        interim = b""
+        while not interim.endswith(b"\r\n\r\n"):
+            interim += sock.recv(1)  # times out if the 100 never comes
+        assert _status_of(interim) == 100
+        sock.sendall(body)
+        reply = b""
+        while b"\r\n\r\n" not in reply:
+            reply += sock.recv(65536)
+    assert _status_of(reply) == 400
