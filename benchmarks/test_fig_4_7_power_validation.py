@@ -13,6 +13,7 @@ from repro.analysis.figures import ascii_timeseries
 from repro.config import SimulationConfig
 from repro.platform.board import OdroidBoard
 from repro.platform.specs import BIG_OPP_TABLE, Resource
+from repro.platform.state import BatchPlant
 from repro.power.characterization import default_power_model
 
 
@@ -28,13 +29,20 @@ def _sweep():
         board = OdroidBoard(config=config, fan_enabled=False)
         board.network.set_uniform_temperature_k(config.ambient_k)
         board.soc.big.set_frequency(f)
+        board.soc.gpu.set_utilisation(0.05)
+        board.soc.mem.set_traffic(0.2)
+        plant = BatchPlant([board])
+        state = plant.gather([0])
+        utils, idle, one = np.array([(0.6, 0.2, 0.2, 0.2)]), np.zeros((1, 4)), np.ones(1)
         samples = []
         for step in range(600):
-            board.step((0.6, 0.2, 0.2, 0.2), (0.0,) * 4, 0.05, 0.2, 0.1)
-            snap = board.read_sensors()
+            plant.advance_interval(state, [0], utils, idle, one, one, dt_s=0.1, substeps=1)
+            temps_k, powers_w = board.sensors.read_all(
+                plant.hotspots_k(state)[0], state.powers_w[0]
+            )
             if step >= 300:
-                samples.append((float(np.mean(snap.temperatures_k)), snap.powers_w[0]))
-                big.observe(snap.powers_w[0], samples[-1][0], vdd, f)
+                samples.append((float(np.mean(temps_k)), powers_w[0]))
+                big.observe(powers_w[0], samples[-1][0], vdd, f)
         t_mean = float(np.mean([s[0] for s in samples]))
         p_meas = float(np.mean([s[1] for s in samples]))
         measured.append(p_meas)

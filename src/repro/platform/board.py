@@ -1,8 +1,12 @@
 """The Odroid-XU+E development board: SoC + fan + sensors + power meter.
 
-This is the top-level "device under test".  The simulation engine drives
-it; the DTPM controller observes it exclusively through
-:meth:`OdroidBoard.read_sensors`.
+This is the top-level "device under test": an :class:`OdroidBoard` owns
+one board's plant state between control intervals.  It never advances
+itself.  The batched plant (:class:`~repro.platform.state.BatchPlant`)
+gathers boards into arrays, advances them and writes them back through
+:meth:`OdroidBoard.sync_lane`.  The DTPM controller observes a board only
+through its sensors (:meth:`~repro.platform.sensors.SensorBank.read_all`),
+as a :class:`SensorSnapshot`.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from repro.config import SimulationConfig
 from repro.platform.fan import Fan, FanThresholds
 from repro.platform.power_meter import PlatformPowerMeter
 from repro.platform.sensors import SensorBank
-from repro.platform.soc import ExynosSoc, SocPowerState
-from repro.platform.specs import PlatformSpec, Resource
+from repro.platform.soc import ExynosSoc
+from repro.platform.specs import PlatformSpec
 from repro.thermal import floorplan
 from repro.thermal.rc_network import ThermalRCNetwork
 from repro.units import celsius_to_kelvin
@@ -38,16 +42,6 @@ class SensorSnapshot:
     temperatures_k: np.ndarray
     powers_w: np.ndarray
     platform_power_w: float
-
-    @property
-    def max_temperature_k(self) -> float:
-        """Hottest sensed core temperature."""
-        return float(np.max(self.temperatures_k))
-
-    @property
-    def hottest_core(self) -> int:
-        """Index of the hottest sensed core."""
-        return int(np.argmax(self.temperatures_k))
 
 
 class OdroidBoard:
@@ -82,7 +76,6 @@ class OdroidBoard:
         )
         self.meter = PlatformPowerMeter(self.rng)
         self._time_s = 0.0
-        self._last_power_state: Optional[SocPowerState] = None
 
     # ------------------------------------------------------------------
     # state
@@ -125,7 +118,6 @@ class OdroidBoard:
         energy_j: float,
         meter_elapsed_s: float,
         last_reading_w: float,
-        power_state: Optional[SocPowerState] = None,
     ) -> None:
         """Adopt one lane of a batched plant advance.
 
@@ -133,81 +125,10 @@ class OdroidBoard:
         boards' physics in struct-of-arrays form; after each control
         interval it writes every lane's state back here so the board
         object stays the authoritative owner between intervals (scenario
-        carry-over, warm starts, :meth:`read_sensors` and tests all read
-        it).
+        carry-over, warm starts and tests all read it).
         """
         self.network.set_temperatures_k(temps_k)
         self.network.set_cooling_gain(cooling_gain)
         self.fan.restore_speed(fan_speed)
         self.meter.restore(energy_j, meter_elapsed_s, last_reading_w)
         self._time_s = float(time_s)
-        if power_state is not None:
-            self._last_power_state = power_state
-
-    def true_platform_power_w(self) -> float:
-        """Ground-truth platform power of the last evaluated interval."""
-        soc_w = self._last_power_state.total_w if self._last_power_state else 0.0
-        return soc_w + self.fan.power_w + self.spec.platform_static_power_w
-
-    # ------------------------------------------------------------------
-    # one simulation substep
-    # ------------------------------------------------------------------
-    def step(
-        self,
-        big_core_utils,
-        little_core_utils,
-        gpu_utilisation: float,
-        mem_traffic: float,
-        dt_s: float,
-        cpu_activity: float = 1.0,
-        gpu_activity: float = 1.0,
-    ) -> SocPowerState:
-        """Advance the physical platform by ``dt_s``.
-
-        Evaluates ground-truth power at the current temperatures, injects it
-        into the thermal network, integrates the network, updates the fan
-        controller, and accounts platform energy.
-        """
-        self.soc.gpu.set_utilisation(gpu_utilisation)
-        self.soc.mem.set_traffic(mem_traffic)
-        temps = floorplan.resource_temperatures_k(self.network)
-        state = self.soc.power_state(
-            temps,
-            big_core_utils,
-            little_core_utils,
-            cpu_activity,
-            gpu_activity,
-        )
-        self._last_power_state = state
-
-        node_p = floorplan.node_powers(
-            self.network,
-            state.big_core_powers_w,
-            state.per_resource[Resource.LITTLE].total_w,
-            state.per_resource[Resource.GPU].total_w,
-            state.per_resource[Resource.MEM].total_w,
-        )
-        self.network.step(node_p, dt_s)
-
-        max_hot = float(np.max(self.true_hotspots_k()))
-        self.fan.update(max_hot)
-        self.network.set_cooling_gain(self.fan.conductance_gain)
-
-        self.meter.sample(self.true_platform_power_w(), dt_s)
-        self._time_s += dt_s
-        return state
-
-    def read_sensors(self) -> SensorSnapshot:
-        """Noisy sensor view of the platform (what the controller sees)."""
-        state = self._last_power_state
-        powers = (
-            state.resource_vector_w()
-            if state is not None
-            else np.zeros(len(self.sensors.power))
-        )
-        return SensorSnapshot(
-            time_s=self._time_s,
-            temperatures_k=self.sensors.read_temperatures(self.true_hotspots_k()),
-            powers_w=self.sensors.read_powers(powers),
-            platform_power_w=self.meter.last_reading_w,
-        )

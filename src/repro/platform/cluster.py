@@ -159,6 +159,10 @@ class CpuCluster:
             Junction temperature of the cluster (drives leakage).
         activity:
             Workload activity factor scaling the effective alpha*C.
+
+        Kept as a term of the scalar reference
+        :meth:`~repro.platform.soc.ExynosSoc.power_state`, which the
+        batched power kernel is pinned against.
         """
         if len(core_utilisations) != self.num_cores:
             raise ConfigurationError(

@@ -123,6 +123,11 @@ class Fan:
         Speed increases immediately when a threshold is crossed; it only
         steps back down once the temperature drops ``hysteresis_c`` below
         the threshold that engaged the current speed.
+
+        The batched plant runs this automaton over its lanes in
+        :func:`repro.thermal.kernels.fan_step`; this scalar form stays as
+        the reference that kernel is pinned against
+        (``tests/test_batch_sim.py``).
         """
         if not self.enabled:
             self._speed = FanSpeed.OFF

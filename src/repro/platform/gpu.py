@@ -58,7 +58,12 @@ class GpuDevice:
         self._utilisation = clamp(utilisation, 0.0, 1.0)
 
     def power(self, temperature_k: float, activity: float = 1.0) -> ClusterPower:
-        """Instantaneous GPU power at the given junction temperature."""
+        """Instantaneous GPU power at the given junction temperature.
+
+        Kept as a term of the scalar reference
+        :meth:`~repro.platform.soc.ExynosSoc.power_state`, which the
+        batched power kernel is pinned against.
+        """
         vdd = self.voltage
         dynamic = (
             activity

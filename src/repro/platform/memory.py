@@ -36,7 +36,12 @@ class MemoryDevice:
         self._traffic = clamp(traffic, 0.0, 1.0)
 
     def power(self, temperature_k: float) -> ClusterPower:
-        """Instantaneous memory power at the given temperature."""
+        """Instantaneous memory power at the given temperature.
+
+        Kept as a term of the scalar reference
+        :meth:`~repro.platform.soc.ExynosSoc.power_state`, which the
+        batched power kernel is pinned against.
+        """
         dynamic = self.full_traffic_power_w * self._traffic
         leakage = self.leakage_spec.power(temperature_k, self.vdd)
         return ClusterPower(dynamic_w=dynamic, leakage_w=leakage)

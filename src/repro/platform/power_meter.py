@@ -26,7 +26,13 @@ class PlatformPowerMeter:
         self._last_reading_w = 0.0
 
     def sample(self, true_platform_power_w: float, dt_s: float) -> float:
-        """Record one interval of platform power; returns the noisy reading."""
+        """Record one interval of platform power; returns the noisy reading.
+
+        The batched plant accounts every lane's meter in arrays and hands
+        the result back through :meth:`restore`; this scalar form stays
+        as the reference of that accounting, which the tests pin the
+        plant's meter against (``tests/test_batch_sim.py``).
+        """
         reading = true_platform_power_w
         if self.relative_noise > 0:
             reading *= 1.0 + self._rng.normal(0.0, self.relative_noise)

@@ -134,7 +134,13 @@ class SensorBank:
         return out
 
     def read_temperatures(self, true_temps_k: Sequence[float]) -> np.ndarray:
-        """Read all thermal sensors against the true hotspot temperatures."""
+        """Read all thermal sensors against the true hotspot temperatures.
+
+        Every plant reads its sensors through :meth:`read_all`.  This
+        per-sensor form and :meth:`read_powers` stay as its scalar
+        reference: the pair is registered in the parity manifest
+        (RPR031) and pinned in ``tests/test_batch_sim.py``.
+        """
         if len(true_temps_k) != len(self.thermal):
             raise ConfigurationError(
                 "expected %d temperatures, got %d"
@@ -145,7 +151,11 @@ class SensorBank:
         )
 
     def read_powers(self, true_powers_w: Sequence[float]) -> np.ndarray:
-        """Read all power sensors against the true per-resource powers."""
+        """Read all power sensors against the true per-resource powers.
+
+        The scalar reference of :meth:`read_all`'s power half; see
+        :meth:`read_temperatures`.
+        """
         if len(true_powers_w) != len(self.power):
             raise ConfigurationError(
                 "expected %d powers, got %d"

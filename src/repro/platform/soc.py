@@ -30,7 +30,8 @@ class SocPowerState:
 
     ``per_resource`` follows the paper's power-vector layout; the per-core
     big powers (dynamic + leakage share) feed the thermal network's four
-    hotspot nodes.
+    hotspot nodes.  It is the result of the scalar reference
+    :meth:`ExynosSoc.power_state`.
     """
 
     per_resource: Dict[Resource, ClusterPower]
@@ -159,6 +160,12 @@ class ExynosSoc:
             Per-core busy fractions produced by the scheduler.
         cpu_activity / gpu_activity:
             Workload activity factors scaling effective alpha*C.
+
+        No plant step calls this: boards advance on the batched plant,
+        whose :class:`~repro.power.batch.BatchPowerModel` evaluates the
+        same breakdown over a lane axis.  This one-configuration form
+        stays as the scalar reference that ``BatchPowerModel.evaluate``
+        is pinned against, bit for bit, in ``tests/test_batch_sim.py``.
         """
         big_power = self.big.power(big_core_utils, temps_k["big"], cpu_activity)
         little_power = self.little.power(

@@ -25,14 +25,22 @@ so the fused kernels integrate a whole interval in one propagator pass
 and only lanes whose fan speed or quantised cooling factor actually
 changes mid-interval fall back to per-substep stepping.  The idle-gap
 cooldown path (``power_every=1``) re-evaluates power before every
-substep and steps it through the same per-substep kernel,
-bit-identical to looped :meth:`OdroidBoard.step` calls.
+substep and steps it through the same per-substep kernel.
+
+:class:`BatchPlant` is the only way a board advances: the engine, the
+scenario idle gap and both Chapter-4 campaigns (the PRBS identification
+and the furnace) all step boards through it.  The only power output a
+:class:`PlantState` keeps is ``powers_w``, the last substep's
+per-resource totals, which the sensors read.
 
 Every kernel is elementwise over the batch axis (reductions only run over
 fixed-size axes such as the four cores), and per-lane RNG streams are
 consumed in exactly the serial order, so lane ``b`` of a batch is
 bit-identical to the same run advanced alone -- the contract
-``tests/test_batch_sim.py`` enforces.
+``tests/test_batch_sim.py`` enforces.  At one substep per interval the
+plant is also bit-equal to a scalar per-board step built from the
+models' scalar references, which the tests transcribe
+(``tests/scalar_board.py``).
 """
 
 from __future__ import annotations
@@ -44,9 +52,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.platform.board import OdroidBoard
-from repro.platform.cluster import ClusterPower
-from repro.platform.soc import SocPowerState
-from repro.platform.specs import POWER_RESOURCES
 from repro.power.batch import BatchPowerModel
 from repro.thermal import floorplan, kernels
 
@@ -56,10 +61,9 @@ class PlantState:
     """Mutable plant state of ``B`` lanes in struct-of-arrays form.
 
     Gathered from (and scattered back to) per-lane boards; see
-    :meth:`gather` / :meth:`scatter`.  The ``powers_w`` /
-    ``big_core_powers_w`` / ``soc_total_w`` fields hold the *last*
-    evaluated substep's ground-truth power breakdown -- what the serial
-    board keeps as ``_last_power_state`` and the sensors read.
+    :meth:`gather` / :meth:`scatter`.  ``powers_w`` holds the *last*
+    evaluated substep's ground-truth per-resource power, which the
+    sensors read; it is ``None`` until the first advance.
     """
 
     temps_k: np.ndarray  # (B, N) thermal node temperatures
@@ -79,10 +83,6 @@ class PlantState:
     gpu_util: np.ndarray  # (B,)
     mem_traffic: np.ndarray  # (B,)
     powers_w: np.ndarray = None  # (B, 4) last substep's resource totals
-    big_core_powers_w: np.ndarray = None  # (B, 4)
-    soc_total_w: np.ndarray = None  # (B,)
-    dynamic_w: np.ndarray = None  # (B, 4) dynamic/leakage splits of the
-    leakage_w: np.ndarray = None  # last substep, resource-vector layout
 
     @property
     def batch(self) -> int:
@@ -138,29 +138,7 @@ class PlantState:
                 float(self.energy_j[i]),
                 float(self.meter_elapsed_s[i]),
                 float(self.last_reading_w[i]),
-                self._power_state(i),
             )
-
-    def _power_state(self, lane: int) -> Optional[SocPowerState]:
-        """Rebuild one lane's scalar power state from the SoA outputs.
-
-        Keeps ``OdroidBoard.read_sensors`` / ``true_platform_power_w``
-        honest after a batched advance -- the decompositions carry the
-        exact dynamic/leakage floats the batched kernel computed.
-        """
-        if self.dynamic_w is None:
-            return None
-        per_resource = {
-            resource: ClusterPower(
-                dynamic_w=float(self.dynamic_w[lane, i]),
-                leakage_w=float(self.leakage_w[lane, i]),
-            )
-            for i, resource in enumerate(POWER_RESOURCES)
-        }
-        return SocPowerState(
-            per_resource=per_resource,
-            big_core_powers_w=self.big_core_powers_w[lane].copy(),
-        )
 
 
 class BatchPlant:
@@ -243,7 +221,7 @@ class BatchPlant:
         ``1``
             Re-evaluate before every substep and advance it through
             :func:`repro.thermal.kernels.substep_loop` -- ``substeps``
-            consecutive :meth:`OdroidBoard.step` calls, bit-for-bit (the
+            consecutive scalar per-board steps, bit-for-bit (the
             scenario idle-gap cooldown contract).
 
         Either way the fan controller reacts to every substep's new
@@ -325,7 +303,7 @@ class BatchPlant:
             state.meter_elapsed_s = state.meter_elapsed_s + dt_s * power_every
             state.last_reading_w = readings[:, -1]
             state.time_s = state.time_s + dt_s * power_every
-            self._store_power(state, ps)
+            state.powers_w = ps.powers_w
 
     # ------------------------------------------------------------------
     def _evaluate_power(self, inputs, temps: np.ndarray):
@@ -345,14 +323,6 @@ class BatchPlant:
         node_p[:, self._gpu_idx] = ps.powers_w[:, 2]
         node_p[:, self._mem_idx] = ps.powers_w[:, 3]
         return ps, node_p
-
-    def _store_power(self, state: PlantState, ps) -> None:
-        """Publish the interval's power breakdown to the SoA state."""
-        state.powers_w = ps.powers_w
-        state.big_core_powers_w = ps.big_core_powers_w
-        state.soc_total_w = ps.soc_total_w
-        state.dynamic_w = ps.dynamic_w
-        state.leakage_w = ps.leakage_w
 
     def hotspots_k(self, state: PlantState) -> np.ndarray:
         """True hotspot (big core) temperatures of every lane, ``(B, 4)``."""

@@ -13,11 +13,17 @@ struct-of-arrays computation:
 * the temperature-dependent leakage terms are re-evaluated every thermal
   substep from the lane temperatures.
 
+A substep's :class:`BatchPowerState` holds only what the plant consumes:
+the per-resource totals (heat for the lumped nodes and the sensors'
+input), the per-core big heat sources and the SoC total the platform
+meter prices.  The dynamic/leakage split of each total is not kept.
+
 Every operation is elementwise over the batch axis (the only reductions
 run over the fixed four-core axis), so lane ``b`` of any batch computes
 exactly what a batch of one would -- the property the batch/serial
 byte-identity contract rests on.  ``tests/test_batch_sim.py`` pins each
-term against the scalar :class:`~repro.platform.soc.ExynosSoc` path.
+term against the scalar :class:`~repro.platform.soc.ExynosSoc` path,
+which stays in ``src/`` as that reference.
 """
 
 from __future__ import annotations
@@ -63,8 +69,6 @@ class BatchPowerState:
     powers_w: np.ndarray  # (B, 4) totals in [big, little, gpu, mem] layout
     big_core_powers_w: np.ndarray  # (B, 4) per-core heat sources
     soc_total_w: np.ndarray  # (B,)
-    dynamic_w: np.ndarray  # (B, 4) dynamic components, same layout
-    leakage_w: np.ndarray  # (B, 4) leakage components, same layout
 
 
 class BatchPowerModel:
@@ -210,14 +214,4 @@ class BatchPowerModel:
             powers_w=powers,
             big_core_powers_w=core_powers,
             soc_total_w=total,
-            # big_core_dyn_w is already zeroed for gated lanes, so these
-            # splits match the scalar ClusterPower decompositions exactly
-            dynamic_w=np.stack(
-                [big_dyn, inputs.little_dyn_w, inputs.gpu_dyn_w,
-                 inputs.mem_dyn_w],
-                axis=1,
-            ),
-            leakage_w=np.stack(
-                [big_leak, little_leak, gpu_leak, mem_leak], axis=1
-            ),
         )

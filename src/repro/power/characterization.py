@@ -9,6 +9,13 @@ spread is then all leakage, and fitting Eq. 4.2 to it recovers
 
 :class:`FurnaceRig` reproduces that procedure against the simulated board:
 it never touches the platform's ground-truth constants, only sensor data.
+At each setpoint the big-cluster and little-cluster soaks share the
+furnace ambient, hence the thermal physics, so their two boards advance
+in lock-step on one batched plant
+(:class:`~repro.platform.state.BatchPlant`): one plant advance per
+sample, and one stacked sensor read per sample inside the measurement
+window.  A soak's point is the same whether it runs alone or beside the
+other session's.
 """
 
 from __future__ import annotations
@@ -21,7 +28,9 @@ import numpy as np
 from repro.config import SimulationConfig
 from repro.errors import ModelError
 from repro.platform.board import OdroidBoard
+from repro.platform.sensors import SensorBank
 from repro.platform.specs import PlatformSpec, POWER_RESOURCES, Resource
+from repro.platform.state import BatchPlant
 from repro.power.fitting import LeakageFit, fit_leakage
 from repro.power.leakage import LeakageModel
 from repro.power.model import PowerModel, ResourcePowerModel
@@ -71,8 +80,10 @@ class FurnaceRig:
         sample_period_s: float = 0.1,
         seed: int = 41,
     ) -> None:
-        if measure_s >= soak_s:
-            raise ModelError("measurement window must lie inside the soak")
+        if not 0 < sample_period_s <= measure_s < soak_s:
+            raise ModelError(
+                "need 0 < sample period <= measurement window < soak"
+            )
         self.spec = spec or PlatformSpec()
         self.config = config or SimulationConfig()
         self.setpoints_c = tuple(setpoints_c)
@@ -82,44 +93,64 @@ class FurnaceRig:
         self.seed = seed
 
     # ------------------------------------------------------------------
-    def _run_setpoint(self, setpoint_c: float, cluster: Resource) -> FurnacePoint:
-        """One soak at a furnace setpoint with the light workload."""
+    def _run_setpoint(
+        self, setpoint_c: float
+    ) -> Tuple[FurnacePoint, FurnacePoint]:
+        """Both sessions' soaks at one setpoint with the light workload.
+
+        Returns the big session's point, then the little session's.
+        """
         config = self.config.with_(ambient_c=setpoint_c, seed=self.seed)
+        boards = [self._board(config, c) for c in (Resource.BIG, Resource.LITTLE)]
+        light, idle = np.array(_LIGHT_UTILS), np.zeros(4)
+        big_utils, little_utils = np.stack([light, idle]), np.stack([idle, light])
+
+        plant = BatchPlant(boards)
+        lanes = np.arange(len(boards))
+        state = plant.gather(lanes)
+        sensors = SensorBank.stack([b.sensors for b in boards])
+        activity = np.ones(len(boards))
+        steps = int(round(self.soak_s / self.sample_period_s))
+        measure_from = self.soak_s - self.measure_s
+        temp_samples: List[np.ndarray] = []  # (lanes,) per sample
+        power_samples: List[np.ndarray] = []  # (lanes, 4) per sample
+        for _ in range(steps):
+            plant.advance_interval(
+                state, lanes, big_utils, little_utils, activity, activity,
+                dt_s=self.sample_period_s, substeps=1,
+            )
+            if state.time_s[0] >= measure_from:
+                temps, powers = sensors.read_all(
+                    plant.hotspots_k(state), state.powers_w
+                )
+                temp_samples.append(np.mean(temps, axis=1))
+                power_samples.append(powers)
+
+        temps = np.stack(temp_samples, axis=1)  # (lanes, samples)
+        powers = np.stack(power_samples, axis=1)  # (lanes, samples, 4)
+        return tuple(
+            FurnacePoint(
+                setpoint_c=setpoint_c,
+                junction_temp_k=float(np.mean(temps[i])),
+                powers_w=np.mean(powers[i], axis=0),
+            )
+            for i in lanes
+        )
+
+    def _board(self, config: SimulationConfig, cluster: Resource) -> OdroidBoard:
+        """A furnace-soaked board running ``cluster`` and the GPU at f_min."""
         board = OdroidBoard(self.spec, config, fan_enabled=False)
         # the furnace soaks the whole board, including the PCB mass
         board.network.set_uniform_temperature_k(config.ambient_k)
-
         if cluster is Resource.LITTLE:
             board.soc.switch_cluster(Resource.LITTLE)
             board.soc.little.set_frequency(board.soc.little.opp_table.f_min_hz)
-            big_utils, little_utils = (0.0,) * 4, _LIGHT_UTILS
         else:
             board.soc.big.set_frequency(board.soc.big.opp_table.f_min_hz)
-            big_utils, little_utils = _LIGHT_UTILS, (0.0,) * 4
         board.soc.gpu.set_frequency(board.soc.gpu.opp_table.f_min_hz)
-
-        steps = int(round(self.soak_s / self.sample_period_s))
-        measure_from = self.soak_s - self.measure_s
-        temp_samples: List[float] = []
-        power_samples: List[np.ndarray] = []
-        for step in range(steps):
-            board.step(
-                big_utils,
-                little_utils,
-                gpu_utilisation=_LIGHT_GPU_UTIL,
-                mem_traffic=_LIGHT_MEM_TRAFFIC,
-                dt_s=self.sample_period_s,
-            )
-            if board.time_s >= measure_from:
-                snap = board.read_sensors()
-                temp_samples.append(float(np.mean(snap.temperatures_k)))
-                power_samples.append(snap.powers_w)
-
-        return FurnacePoint(
-            setpoint_c=setpoint_c,
-            junction_temp_k=float(np.mean(temp_samples)),
-            powers_w=np.mean(np.stack(power_samples), axis=0),
-        )
+        board.soc.gpu.set_utilisation(_LIGHT_GPU_UTIL)
+        board.soc.mem.set_traffic(_LIGHT_MEM_TRAFFIC)
+        return board
 
     # ------------------------------------------------------------------
     def characterize(self) -> FurnaceCharacterization:
@@ -131,13 +162,9 @@ class FurnaceRig:
         """
         result = FurnaceCharacterization()
         for setpoint in self.setpoints_c:
-            result.points_big_session.append(
-                self._run_setpoint(setpoint, Resource.BIG)
-            )
-        for setpoint in self.setpoints_c:
-            result.points_little_session.append(
-                self._run_setpoint(setpoint, Resource.LITTLE)
-            )
+            big, little = self._run_setpoint(setpoint)
+            result.points_big_session.append(big)
+            result.points_little_session.append(little)
 
         temps_big = [p.junction_temp_k for p in result.points_big_session]
         temps_little = [p.junction_temp_k for p in result.points_little_session]

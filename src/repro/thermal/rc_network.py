@@ -276,7 +276,10 @@ class ThermalRCNetwork:
 
         This is the B=1 view of :meth:`step_batch`, so a standalone
         network and one lane of a batched plant integrate through the
-        same code path (and therefore bit-identically).
+        same code path (and therefore bit-identically).  No plant calls
+        it: it stays as the scalar side of a parity-manifest pair
+        (RPR031) and as the integrator of the RC oracles in
+        ``tests/test_rc_network.py``.
         """
         p = np.asarray(power_w, dtype=float)
         if p.shape != (self.num_nodes,):

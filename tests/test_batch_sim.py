@@ -234,9 +234,12 @@ def test_batched_fan_controller_matches_scalar(rng):
 
 
 def test_idle_path_matches_per_board_step_loops():
-    """``advance_interval(power_every=1)`` == per-board ``step`` loops,
-    meter accounting included (the scenario cooldown resets the meter
-    after every gap, so only this test pins it)."""
+    """``advance_interval(power_every=1)`` == per-board scalar ``step``
+    loops (``tests/scalar_board.py``), meter accounting included (the
+    scenario cooldown resets the meter after every gap, so only this test
+    pins it)."""
+    from scalar_board import ScalarBoard
+
     from repro.platform.board import OdroidBoard
 
     spec = PlatformSpec()
@@ -261,8 +264,9 @@ def test_idle_path_matches_per_board_step_loops():
     engaged = 0
     for board in serial:
         fan_on = False
+        scalar = ScalarBoard(board)
         for _ in range(400):
-            board.step(big, little, 0.0, 0.03, 0.1)
+            scalar.step(big, little, 0.0, 0.03, 0.1)
             fan_on |= board.fan.speed != FanSpeed.OFF
         engaged += fan_on
     assert engaged == 2
@@ -494,24 +498,6 @@ def test_warm_batched_scheduled_matrix_executes_zero_sims(tmp_path):
     ):
         assert result_bytes(fresh) == result_bytes(cached)
         assert result_bytes(fresh) == result_bytes(lone)
-
-
-def test_board_power_state_restored_after_batched_run():
-    serial_sim, batch_sim = _mixed_sims()[0], _mixed_sims()[0]
-    serial_sim.run()
-    BatchSimulator([batch_sim]).run()
-    for sim in (serial_sim, batch_sim):
-        state = sim.board._last_power_state
-        assert state is not None and state.total_w > 0
-        assert sim.board.true_platform_power_w() > sim.spec.platform_static_power_w
-    assert np.array_equal(
-        serial_sim.board._last_power_state.resource_vector_w(),
-        batch_sim.board._last_power_state.resource_vector_w(),
-    )
-    assert np.array_equal(
-        serial_sim.board._last_power_state.big_core_powers_w,
-        batch_sim.board._last_power_state.big_core_powers_w,
-    )
 
 
 def test_pool_path_caps_batch_to_keep_workers_busy(monkeypatch):

@@ -1,10 +1,15 @@
-"""OdroidBoard: plant integration, warm start, sensor view, power meter."""
+"""OdroidBoard: plant integration, warm start, sensor view, power meter.
+
+Boards advance on a one-lane :class:`~repro.platform.state.BatchPlant`,
+the only way a board advances, and are read through its sensor bank.
+"""
 
 import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
 from repro.platform.board import OdroidBoard
+from repro.platform.state import BatchPlant
 from repro.units import KELVIN_OFFSET
 
 
@@ -14,9 +19,20 @@ def board():
 
 
 def _run(board, seconds, utils=(1.0,) * 4, freq=1.6e9, gpu=0.05, mem=0.3):
+    """Hold one load for ``seconds`` in 0.1 s intervals; returns the
+    plant and its state, already written back to the board."""
     board.soc.big.set_frequency(freq)
+    board.soc.gpu.set_utilisation(gpu)
+    board.soc.mem.set_traffic(mem)
+    plant = BatchPlant([board])
+    state = plant.gather([0])
+    big, little, one = np.array([utils]), np.zeros((1, 4)), np.ones(1)
     for _ in range(int(seconds * 10)):
-        board.step(utils, (0.0,) * 4, gpu, mem, 0.1)
+        plant.advance_interval(
+            state, [0], big, little, one, one, dt_s=0.1, substeps=1
+        )
+    plant.scatter(state, [0])
+    return plant, state
 
 
 def test_warm_start_sets_hotspots(board):
@@ -55,23 +71,21 @@ def test_fan_limits_temperature():
 
 def test_sensor_snapshot_contents(board):
     board.warm_start(45.0)
-    _run(board, 1.0)
-    snap = board.read_sensors()
-    assert snap.temperatures_k.shape == (4,)
-    assert snap.powers_w.shape == (4,)
-    assert snap.max_temperature_k == pytest.approx(
-        snap.temperatures_k.max()
+    plant, state = _run(board, 1.0)
+    temps_k, powers_w = board.sensors.read_all(
+        plant.hotspots_k(state)[0], state.powers_w[0]
     )
-    assert 0 <= snap.hottest_core < 4
+    assert temps_k.shape == (4,)
+    assert powers_w.shape == (4,)
     # sensors should be near ground truth
-    assert np.allclose(
-        snap.temperatures_k, board.true_hotspots_k(), atol=1.0
-    )
+    assert np.allclose(temps_k, board.true_hotspots_k(), atol=1.0)
+    # (the gated little cluster draws less than the sensors' 1 mW floor)
+    assert np.allclose(powers_w, state.powers_w[0], rtol=0.05, atol=1e-3)
 
 
 def test_platform_power_includes_static_floor(board):
     _run(board, 1.0, utils=(0.0,) * 4, freq=8e8, gpu=0.0, mem=0.0)
-    assert board.true_platform_power_w() > board.spec.platform_static_power_w
+    assert board.meter.average_power_w > board.spec.platform_static_power_w
 
 
 def test_meter_accumulates_energy(board):

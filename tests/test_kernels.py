@@ -1,8 +1,8 @@
 """Fused substep kernel parity: the hot loop's correctness contract.
 
 The fused interval kernel (:mod:`repro.thermal.kernels`) must be
-unobservable: fused chain == per-substep loop == scalar ``step()`` +
-``Fan.update`` byte-for-byte, whatever mix of fan transitions, cooldowns
+unobservable: fused chain == per-substep loop == scalar
+``ThermalRCNetwork.step()`` + ``Fan.update`` byte-for-byte, whatever mix of fan transitions, cooldowns
 and B=1 views a batch throws at it.  The per-substep reference is
 :func:`kernels.substep_loop`, called directly at kernel level and
 substituted for :func:`kernels.advance_held_interval` at engine level.
@@ -85,7 +85,7 @@ def test_fused_lanes_are_batch_independent(rng):
 
 
 def test_substep_loop_matches_scalar_step_and_fan(rng):
-    """B=1 kernel == the serial board's step()/Fan.update interleaving."""
+    """B=1 kernel == the scalar network step()/Fan.update interleaving."""
     network = _network()
     scalar_net = _network()
     temps, gain, speed, enabled, power = _random_states(rng, network, batch=6)

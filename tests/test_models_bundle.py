@@ -29,6 +29,13 @@ FINGERPRINTS = {
         "03e03a41ea14ac5efd74963eb57598a1c35761ed4716e30fedb7b3ee647ac401",
 }
 
+#: ``model_fingerprint(build_models(prbs_duration_s=300.0,
+#: run_furnace=True))``: the 300 s structured campaign with the fits of a
+#: default :class:`~repro.power.characterization.FurnaceRig`.
+FURNACE_FINGERPRINT = (
+    "52ce67b274c5a5a6ba703459dbe0dd336bae7fcb03ba366c36b3f99dea758c99"
+)
+
 
 def test_default_models_cached():
     a = default_models()
@@ -84,6 +91,7 @@ def test_unknown_method_rejected(monkeypatch):
 def test_furnace_backed_build():
     bundle = build_models(prbs_duration_s=300.0, run_furnace=True)
     assert bundle.thermal.is_stable()
+    assert model_fingerprint(bundle) == FURNACE_FINGERPRINT
     # furnace-fitted big leakage close to the cached default fit
     cached = default_models()
     t, vdd = 330.0, 1.0

@@ -110,7 +110,10 @@ def _reference_chain(
     mode, workloads, initial_temp_c, idle_gap_s=0.0, base_seed=None, dtpm=None
 ):
     """The pre-batching serial semantics, transcribed: one Simulator per
-    position, carried temperatures, and a per-board ``step`` idle loop."""
+    position, carried temperatures, and a per-board scalar ``step`` idle
+    loop (``tests/scalar_board.py``)."""
+    from scalar_board import ScalarBoard
+
     from repro.platform.specs import PlatformSpec
 
     spec, config = PlatformSpec(), SimulationConfig()
@@ -126,8 +129,9 @@ def _reference_chain(
             sim.board.network.set_temperatures_k(carry)
             if idle_gap_s > 0:
                 sim.board.soc.big.set_frequency(spec.big_opp.f_min_hz)
+                scalar = ScalarBoard(sim.board)
                 for _ in range(int(round(idle_gap_s / 0.1))):
-                    sim.board.step(
+                    scalar.step(
                         (0.03, 0.02, 0.02, 0.02), (0.0,) * 4, 0.0, 0.03, 0.1
                     )
                 sim.board.meter.reset()
@@ -150,7 +154,7 @@ def _reference_chain(
 def test_serial_runner_matches_per_board_idle_loop(
     workloads, mode, initial_temp_c
 ):
-    """The batched idle-gap integration is bit-equal to board.step loops."""
+    """The batched idle-gap integration is bit-equal to scalar step loops."""
     reference = _reference_chain(
         mode, workloads, initial_temp_c=initial_temp_c, idle_gap_s=7.0
     )

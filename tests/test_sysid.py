@@ -4,6 +4,7 @@ import zlib
 
 import numpy as np
 import pytest
+from scalar_board import ScalarBoard
 
 from repro.errors import IdentificationError
 from repro.platform.board import OdroidBoard
@@ -162,14 +163,15 @@ def test_structured_requires_big_session(campaign):
 
 # ---- the lock-step against the scalar per-session loop ---------------------
 def _scalar_session(exp, resource):
-    """One session as a lone board stepped by ``OdroidBoard.step`` and read
-    by ``read_sensors`` -- a transcription of the per-session loop that
-    ``PrbsExperiment`` ran before its sessions became one lock-step."""
+    """One session as a lone board stepped and read by the scalar plant
+    (``tests/scalar_board.py``) -- a transcription of the per-session loop
+    that ``PrbsExperiment`` ran before its sessions became one lock-step."""
     config = exp.config.with_(
         seed=exp.seed + zlib.crc32(resource.value.encode("ascii")) % 1000
     )
     board = OdroidBoard(exp.spec, config, fan_enabled=False)
     board.warm_start(hotspot_c=config.ambient_c + 12.0)
+    scalar = ScalarBoard(board)
 
     gpu_util, mem_traffic = 0.05, 0.15
     big_utils = (1.0, 1.0, 1.0, 1.0)
@@ -222,9 +224,9 @@ def _scalar_session(exp, resource):
             board.soc.gpu.set_frequency(level)
         else:
             mem_traffic = level
-        board.step(big_utils, little_utils, gpu_utilisation=gpu_util,
-                   mem_traffic=mem_traffic, dt_s=dt)
-        snap = board.read_sensors()
+        scalar.step(big_utils, little_utils, gpu_utilisation=gpu_util,
+                    mem_traffic=mem_traffic, dt_s=dt)
+        snap = scalar.read_sensors()
         temps.append(snap.temperatures_k)
         powers.append(snap.powers_w)
     return np.stack(temps), np.stack(powers)
