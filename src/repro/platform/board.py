@@ -1,12 +1,11 @@
 """The Odroid-XU+E development board: SoC + fan + sensors + power meter.
 
 This is the top-level "device under test": an :class:`OdroidBoard` owns
-one board's plant state between control intervals.  It never advances
-itself.  The batched plant (:class:`~repro.platform.state.BatchPlant`)
-gathers boards into arrays, advances them and writes them back through
-:meth:`OdroidBoard.sync_lane`.  The DTPM controller observes a board only
-through its sensors (:meth:`~repro.platform.sensors.SensorBank.read_all`),
-as a :class:`SensorSnapshot`.
+one board's plant state between runs.  It never advances itself.  The
+batched plant (:class:`~repro.platform.state.BatchPlant`) gathers boards
+into arrays once per run and writes each back through
+:meth:`OdroidBoard.sync_lane` as its lane ends.  The DTPM controller sees
+a board only through its sensors, as a :class:`SensorSnapshot`.
 """
 
 from __future__ import annotations
@@ -45,7 +44,12 @@ class SensorSnapshot:
 
 
 class OdroidBoard:
-    """Complete simulated platform with ground truth and sensor views."""
+    """Complete simulated platform with ground truth and sensor views.
+
+    A run gathers ``soc``'s actuator settings once and never writes them
+    back: after :meth:`~repro.sim.engine.Simulator.run` the SoC objects
+    still hold the configuration they had before the run.
+    """
 
     def __init__(
         self,
@@ -122,10 +126,9 @@ class OdroidBoard:
         """Adopt one lane of a batched plant advance.
 
         The batched plant (:mod:`repro.platform.state`) integrates many
-        boards' physics in struct-of-arrays form; after each control
-        interval it writes every lane's state back here so the board
-        object stays the authoritative owner between intervals (scenario
-        carry-over, warm starts and tests all read it).
+        boards' physics in struct-of-arrays form and writes a lane back
+        here as its run or idle-gap chunk ends, so the board owns its
+        state between runs (results, scenario carry-over and tests read it).
         """
         self.network.set_temperatures_k(temps_k)
         self.network.set_cooling_gain(cooling_gain)

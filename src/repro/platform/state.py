@@ -8,10 +8,10 @@ run per substep.  This module gives the plant a batch axis:
 
 * :class:`PlantState` holds every lane's mutable plant state as arrays
   (``temps_k[B, N]``, ``fan_speed[B]``, ``energy_j[B]``, ...), gathered
-  from the per-lane board objects at the start of a control interval and
-  scattered back afterwards -- the boards stay the authoritative owners
-  between intervals, so scenario carry-over, warm starts and direct
-  object access keep working unchanged.
+  from the per-lane board objects once per run, idle-gap chunk or
+  campaign.  It is the only copy until a lane is scattered back as it
+  ends; the engine actuates by writing into its rows.  The boards own
+  the state between runs: carry-over, warm starts and results read them.
 * :class:`BatchPlant` advances a :class:`PlantState` through the thermal
   substeps of one control interval: batched power evaluation
   (:class:`~repro.power.batch.BatchPowerModel`), fused RC integration
@@ -45,7 +45,7 @@ models' scalar references, which the tests transcribe
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -92,7 +92,7 @@ class PlantState:
     # ------------------------------------------------------------------
     @classmethod
     def gather(cls, boards: Sequence[OdroidBoard]) -> "PlantState":
-        """Snapshot the per-lane board objects into one SoA state."""
+        """Snapshot the boards into one SoA state, as a run or campaign starts."""
         cores = boards[0].spec.cores_per_cluster
         return cls(
             temps_k=np.stack([b.network.temperatures_k for b in boards]),
@@ -127,8 +127,13 @@ class PlantState:
             mem_traffic=np.array([b.soc.mem.traffic for b in boards]),
         )
 
+    def take(self, rows: Sequence[int]) -> "PlantState":
+        """A new state holding only the given lanes' rows, in that order."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return PlantState(**{k: v if v is None else v[rows] for k, v in values.items()})
+
     def scatter(self, boards: Sequence[OdroidBoard]) -> None:
-        """Write every lane's advanced plant state back to its board."""
+        """Write each lane's plant state back to its board, as the lane ends."""
         for i, board in enumerate(boards):  # repro-lint: disable=RPR032 -- O(B) attribute writeback into scalar boards, not a numeric kernel
             board.sync_lane(
                 self.temps_k[i],
@@ -187,11 +192,11 @@ class BatchPlant:
 
     # ------------------------------------------------------------------
     def gather(self, lanes: Sequence[int]) -> PlantState:
-        """SoA snapshot of the given board lanes (by index)."""
+        """:meth:`PlantState.gather` by lane index (perfbench traces it)."""
         return PlantState.gather([self.boards[i] for i in lanes])
 
     def scatter(self, state: PlantState, lanes: Sequence[int]) -> None:
-        """Write an advanced state back to the given board lanes."""
+        """Write row ``k`` of ``state`` back to board ``lanes[k]`` (traced)."""
         state.scatter([self.boards[i] for i in lanes])
 
     # ------------------------------------------------------------------

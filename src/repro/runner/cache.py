@@ -146,6 +146,21 @@ def loads_json(raw: bytes) -> Any:
         raise json.JSONDecodeError("JSON nested too deeply", text, 0) from None
 
 
+def atomic_write(path: str, blob: bytes) -> None:
+    """Write ``blob`` to ``path`` by rename, so no reader sees it torn."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def is_finite_number(value: Any) -> bool:
     """Whether ``value`` is a finite JSON number (``bool`` is not one)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -459,20 +474,6 @@ class ResultCache:
                 self._memory[key] = result
         return result
 
-    @staticmethod
-    def _atomic_write(path: str, blob: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
     def put(self, key: str, result: RunResult) -> None:
         """Store a result under its content key (summary + trace blob)."""
         with self._lock:
@@ -483,8 +484,8 @@ class ResultCache:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             # trace blob first, summary JSON last: the summary is the
             # commit point, so readers never see a summary without a blob
-            self._atomic_write(self.trace_path(key), trace_blob_bytes(result))
-            self._atomic_write(path, payload_bytes(result_to_summary(result)))
+            atomic_write(self.trace_path(key), trace_blob_bytes(result))
+            atomic_write(path, payload_bytes(result_to_summary(result)))
         with self._lock:
             self.stats.stores += 1
 
@@ -626,7 +627,7 @@ def _store_file(name: str) -> bool:
 
     A summary (``<key>.json``), a trace blob (``<key>.npz``, or with a
     further suffix: the compressed blobs of earlier versions) or a temp
-    file of :meth:`ResultCache._atomic_write` (``tmp*.tmp``).  Stray-file
+    file of :func:`atomic_write` (``tmp*.tmp``).  Stray-file
     handling touches nothing else.
     """
     kind = name.partition(".")[2].split(".")[0]
@@ -818,9 +819,7 @@ def _persist_shard_frame(root: str, shard: str, frame: dict) -> None:
     just rescans the shard on every open)."""
     try:
         os.makedirs(os.path.join(root, INDEX_DIR), exist_ok=True)
-        ResultCache._atomic_write(
-            _frame_path(root, shard), payload_bytes(frame)
-        )
+        atomic_write(_frame_path(root, shard), payload_bytes(frame))
     except OSError:
         pass
 

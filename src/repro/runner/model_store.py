@@ -18,16 +18,16 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import Optional
 
 import numpy as np
 
 from repro.config import SimulationConfig
+from repro.errors import ModelError
 from repro.platform.specs import POWER_RESOURCES, PlatformSpec
 from repro.power.characterization import default_power_model
 from repro.power.leakage import LeakageModel
-from repro.runner.cache import default_cache_dir
+from repro.runner.cache import atomic_write, default_cache_dir, loads_json
 from repro.runner.spec import _digest, canonical_json
 from repro.sim.models import ModelBundle, build_models
 from repro.thermal.state_space import DiscreteThermalModel
@@ -136,10 +136,12 @@ def cached_build_models(
     )
     path = _store_path(os.path.abspath(root), key)
     try:
-        with open(path, "r") as fh:
-            return payload_to_models(json.load(fh), spec=spec)
-    except (OSError, ValueError, KeyError):
-        pass
+        with open(path, "rb") as fh:
+            return payload_to_models(loads_json(fh.read()), spec=spec)
+    except (
+        OSError, ValueError, KeyError, TypeError, OverflowError, ModelError
+    ):
+        pass  # no entry, or one that does not rebuild: build and overwrite
     models = build_models(
         spec=spec,
         config=config,
@@ -148,15 +150,5 @@ def cached_build_models(
         method=method,
     )
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(models_to_payload(models), fh)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write(path, json.dumps(models_to_payload(models)).encode("utf-8"))
     return models

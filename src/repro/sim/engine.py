@@ -8,10 +8,11 @@ apply it (with migration/hotplug stalls), and the physical plant advances.
 
 The loop is batched: a :class:`BatchSimulator` lock-steps ``B``
 independent runs -- each with its own workload, mode, governor and
-controller state -- and per control step advances all their plants
-through one struct-of-arrays kernel
-(:class:`~repro.platform.state.BatchPlant`), reads all their sensors in
-one pass and runs the DTPM controller as one array step over its lanes.
+controller state.  Their plant state lives in one struct-of-arrays
+:class:`~repro.platform.state.PlantState` for the whole run; per control
+step one kernel (:class:`~repro.platform.state.BatchPlant`) advances it,
+all their sensors are read in one pass and the DTPM controller runs as
+one array step over its lanes.
 :class:`Simulator` is the ``B = 1`` view of that same code path, and
 every batched step is elementwise over the batch axis, so a batch of
 ``N`` runs produces traces byte-identical to ``N`` runs executed one at
@@ -21,7 +22,7 @@ a time.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,15 +36,16 @@ from repro.governors.reactive import ReactiveThrottleGovernor
 from repro.platform.board import OdroidBoard, SensorSnapshot
 from repro.platform.sensors import SensorBank
 from repro.platform.specs import (
+    CLUSTER_MIGRATION_PENALTY_S,
     HOTPLUG_PENALTY_S,
     PlatformSpec,
     Resource,
 )
-from repro.platform.state import BatchPlant
+from repro.platform.state import BatchPlant, PlantState
 from repro.sim.consumers import ViolationCounter
 from repro.sim.run_result import RUN_COLUMNS, RunResult, TraceRecorder
 from repro.sim.scheduler import LoadBalancer
-from repro.units import KELVIN_OFFSET
+from repro.units import KELVIN_OFFSET, clamp
 from repro.workloads.trace import WorkloadProgress, WorkloadTrace
 
 
@@ -146,61 +148,48 @@ class Simulator:
             little_freq_hz=freq, little_online=online_next, gpu_freq_hz=gpu_freq
         )
 
-    # ------------------------------------------------------------------
-    def _apply(
-        self,
-        final: PlatformConfig,
-        current: PlatformConfig,
-        outcome,
-    ):
-        """Push a configuration into the SoC actuators.
 
-        Returns (stall seconds, migrated?, #cores hotplugged).
-        """
-        soc = self.board.soc
-        penalty = 0.0
-        migrated = False
-        cores_changed = 0
+def _actuate(
+    state: PlantState,
+    row: int,
+    final: PlatformConfig,
+    prefer_off: Optional[int],
+    spec: PlatformSpec,
+) -> Tuple[float, bool, int]:
+    """Push a configuration into lane ``row`` of the plant state.
 
-        if final.cluster is not soc.active_cluster:
-            penalty += soc.switch_cluster(final.cluster)
-            migrated = True
+    Returns (stall seconds, migrated?, #cores hotplugged).  Migration
+    brings the incoming cluster up all online, as
+    :meth:`~repro.platform.soc.ExynosSoc.switch_cluster` does; an
+    off-table frequency raises ``InvalidFrequencyError``.  Hotplug
+    offlines ``prefer_off`` first, else the highest online core, and
+    onlines the lowest offline one.
+    """
+    penalty = 0.0
+    to_big = final.cluster is Resource.BIG
+    mask = state.big_online[row] if to_big else state.little_online[row]
+    migrated = bool(state.active_is_big[row]) != to_big
+    if migrated:
+        state.active_is_big[row] = to_big
+        mask[:] = True
+        penalty += CLUSTER_MIGRATION_PENALTY_S
 
-        soc.big.set_frequency(final.big_freq_hz)
-        soc.little.set_frequency(final.little_freq_hz)
-        soc.gpu.set_frequency(final.gpu_freq_hz)
+    state.big_freq_hz[row] = spec.big_opp.validate(final.big_freq_hz)
+    state.little_freq_hz[row] = spec.little_opp.validate(final.little_freq_hz)
+    state.gpu_freq_hz[row] = spec.gpu_opp.validate(final.gpu_freq_hz)
 
-        cluster = soc.big if final.cluster is Resource.BIG else soc.little
-        target = final.active_online
-        prefer_off = None
-        if outcome is not None and outcome.decision is not None:
-            prefer_off = outcome.decision.core_turned_off
-        cores_changed = self._set_online(cluster, target, prefer_off)
-        penalty += cores_changed * HOTPLUG_PENALTY_S
-        return penalty, migrated, cores_changed
-
-    @staticmethod
-    def _set_online(cluster, target: int, prefer_off: Optional[int]) -> int:
-        """Hotplug to ``target`` online cores, offlining ``prefer_off`` first."""
-        changes = 0
-        # offline preferred core first when reducing
-        while cluster.num_online > target:
-            candidates = cluster.online_cores
-            victim = (
-                prefer_off
-                if prefer_off in candidates
-                else candidates[-1]
-            )
-            cluster.set_core_online(victim, False)
-            prefer_off = None
-            changes += 1
-        while cluster.num_online < target:
-            for core in range(cluster.num_cores):
-                if not cluster.is_online(core):
-                    cluster.set_core_online(core, True)
-                    changes += 1
-                    break
-        return changes
+    target = final.active_online
+    changes = 0
+    while np.count_nonzero(mask) > target:
+        online = np.flatnonzero(mask).tolist()
+        victim = prefer_off if prefer_off in online else online[-1]
+        mask[victim] = False
+        prefer_off = None  # only for the first core taken down
+        changes += 1
+    while np.count_nonzero(mask) < target:
+        mask[np.argmin(mask)] = True  # the lowest offline core
+        changes += 1
+    return penalty + changes * HOTPLUG_PENALTY_S, migrated, changes
 
 
 class _Lane:
@@ -234,13 +223,9 @@ class _Lane:
         self.migrations = 0
         self.offlined = 0
 
-    @property
-    def active(self) -> bool:
-        """Whether this lane still has work and time budget left."""
-        return (
-            not self.progress.done
-            and self.sim.board.time_s < self.sim.max_duration_s
-        )
+    def active(self, time_s: float) -> bool:
+        """Whether this lane, its clock at ``time_s``, has work and time left."""
+        return not self.progress.done and time_s < self.sim.max_duration_s
 
     def finish(self) -> RunResult:
         """Build the lane's result."""
@@ -269,9 +254,11 @@ class BatchSimulator:
     one :meth:`SensorBank.read_all` over a stack of the lanes' banks, and
     the DTPM lanes' controllers run as one :meth:`DtpmGovernor.control`
     over a stack of their governors.  The scheduler, the default
-    governors, actuation and recording run per lane, exactly as in a
-    standalone :class:`Simulator`.  Lanes that finish (or hit their
-    duration cap) drop out of the batch; the rest keep stepping.
+    governors, actuation (:func:`_actuate`, into the lane's row of the
+    run's plant state) and recording run per lane, exactly as in a
+    standalone :class:`Simulator`.  The boards' plant state is gathered
+    once per run; lanes that finish (or hit their duration cap) are
+    written back to their boards and drop out; the rest keep stepping.
 
     All lanes must share the plant "shape": the platform spec, the
     thermal network physics and the control/substep timing
@@ -308,6 +295,7 @@ class BatchSimulator:
         """Execute all lanes to completion; results come back in lane order."""
         dt = self.sims[0].config.control_period_s
         substeps = self.sims[0].config.substeps_per_control
+        spec = self.plant.spec
 
         lanes: List[_Lane] = []
         for sim in self.sims:
@@ -315,18 +303,29 @@ class BatchSimulator:
                 sim.board.warm_start(sim.warm_start_c)
             if sim.dtpm is not None:
                 sim.dtpm.reset()
-            lane = _Lane(sim)
-            sim._apply(lane.current, lane.current, None)
-            lanes.append(lane)
+            lanes.append(_Lane(sim))
+
+        # the run's one gather; the initial configuration costs no stall
+        active = list(range(len(lanes)))
+        state = self.plant.gather(active)
+        for row, lane in enumerate(lanes):
+            _actuate(state, row, lane.current, None, spec)
 
         results: List[Optional[RunResult]] = [None] * len(lanes)
-        active = [i for i, lane in enumerate(lanes) if lane.active]
-        for i, lane in enumerate(lanes):
-            if results[i] is None and i not in active:
-                results[i] = lane.finish()
-
         stacked_for: List[int] = []
-        while active:
+        while True:
+            # ended lanes go back to their boards (results, carry-over)
+            clock = state.time_s.tolist()
+            ended = [r for r, i in enumerate(active) if not lanes[i].active(clock[r])]
+            if ended:
+                self.plant.scatter(state.take(ended), [active[r] for r in ended])
+                for r in ended:
+                    results[active[r]] = lanes[active[r]].finish()
+                rows = [r for r in range(len(active)) if r not in ended]
+                state, active = state.take(rows), [active[r] for r in rows]
+            if not active:
+                break
+
             if active != stacked_for:
                 # the active lanes' sensors and DTPM controllers as one
                 # [B, ...] step each, re-stacked as lanes drop out
@@ -352,7 +351,7 @@ class BatchSimulator:
 
             # 1. place threads and account work for this interval (per lane)
             scheds = []
-            for i in active:
+            for pos, i in enumerate(active):
                 lane = lanes[i]
                 sim = lane.sim
                 frozen = min(lane.pending_freeze_s, dt)
@@ -362,11 +361,10 @@ class BatchSimulator:
                     frozen_s=frozen,
                 )
                 scheds.append(sched)
-                sim.board.soc.gpu.set_utilisation(sched.gpu_util)
-                sim.board.soc.mem.set_traffic(sched.mem_traffic)
+                state.gpu_util[pos] = clamp(sched.gpu_util, 0.0, 1.0)
+                state.mem_traffic[pos] = clamp(sched.mem_traffic, 0.0, 1.0)
 
             # 2. advance every physical plant through one batched kernel
-            state = self.plant.gather(active)
             self.plant.advance_interval(
                 state,
                 active,
@@ -377,8 +375,8 @@ class BatchSimulator:
                 self.sims[0].config.thermal_substep_s,
                 substeps,
             )
-            self.plant.scatter(state, active)
             hotspots = self.plant.hotspots_k(state)
+            clock = state.time_s.tolist()
 
             # 3. every lane's sensors in one read; the recorded values as
             # one Python list per lane
@@ -399,9 +397,7 @@ class BatchSimulator:
                 lane = lanes[i]
                 lane.progress.retire(scheds[pos].work_gcycles, dt)
                 proposals.append(
-                    lane.sim._propose(
-                        scheds[pos], lane.current, lane.sim.board.time_s
-                    )
+                    lane.sim._propose(scheds[pos], lane.current, clock[pos])
                 )
 
             # 5. the DTPM controller: one array step over its lanes
@@ -422,7 +418,8 @@ class BatchSimulator:
                     outcomes[pos] = outcome
 
             # 6. actuation and recording -- each lane as a standalone run
-            still_active = []
+            fan_speed = state.fan_speed.tolist()
+            meter_w = state.last_reading_w.tolist()
             for pos, i in enumerate(active):
                 lane = lanes[i]
                 sim = lane.sim
@@ -437,8 +434,10 @@ class BatchSimulator:
                 else:
                     final = proposal
 
-                penalty, migrated, cores_changed = sim._apply(
-                    final, lane.current, outcome
+                decision = outcome.decision if outcome is not None else None
+                prefer_off = decision.core_turned_off if decision else None
+                penalty, migrated, cores_changed = _actuate(
+                    state, pos, final, prefer_off, spec
                 )
                 lane.pending_freeze_s += penalty
                 lane.migrations += int(migrated)
@@ -448,7 +447,7 @@ class BatchSimulator:
                 # counter tallies its two controller-decision flags
                 max_c, true_max_c, t0, t1, t2, t3, p0, p1, p2, p3 = sensed[pos]
                 interval = dict(
-                    time_s=sim.board.time_s,
+                    time_s=clock[pos],
                     max_temp_c=max_c,
                     true_max_temp_c=true_max_c,
                     temp0_c=t0,
@@ -460,8 +459,8 @@ class BatchSimulator:
                     gpu_freq_hz=final.gpu_freq_hz,
                     cluster_is_big=float(final.cluster is Resource.BIG),
                     online_cores=float(final.active_online),
-                    fan_speed=float(int(sim.board.fan.speed)),
-                    platform_power_w=sim.board.meter.last_reading_w,
+                    fan_speed=float(fan_speed[pos]),
+                    platform_power_w=meter_w[pos],
                     p_big_w=p0,
                     p_little_w=p1,
                     p_gpu_w=p2,
@@ -474,11 +473,5 @@ class BatchSimulator:
                 lane.recorder.append(**interval)
                 lane.counters.on_interval(interval)
                 lane.current = final
-
-                if lane.active:
-                    still_active.append(i)
-                else:
-                    results[i] = lane.finish()
-            active = still_active
 
         return results

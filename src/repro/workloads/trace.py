@@ -81,6 +81,11 @@ class WorkloadTrace:
             raise WorkloadError("gpu_demand must be in [0, 1]")
         if not 0.0 <= self.background_util < 1.0:
             raise WorkloadError("background_util must be in [0, 1)")
+        # negative activity runs to negative power; negative traffic or
+        # jitter would run as 0 under another content key
+        for name in ("activity", "gpu_activity", "mem_traffic", "demand_jitter"):
+            if not getattr(self, name) >= 0.0:
+                raise WorkloadError("%s must be >= 0" % name)
 
     @property
     def uses_gpu(self) -> bool:

@@ -391,6 +391,45 @@ def test_cached_build_models_store(tmp_path, models, monkeypatch):
     assert model_fingerprint(cached_build_models()) == model_fingerprint(models)
 
 
+@pytest.mark.parametrize(
+    "damaged",
+    [
+        "[]",
+        '{"thermal": [], "leakage": {}}',
+        '{"thermal": {"a": null, "b": [], "offset": [], "ts_s": 0.1},'
+        ' "leakage": {}}',
+        "[" * 200_000,
+        '{"thermal": {"a": [[1]], "b": [[1]], "offset": [0], "ts_s": 1%s},'
+        ' "leakage": {}}' % ("0" * 400),
+    ],
+    ids=["list", "thermal-list", "bad-thermal", "deep", "overflow"],
+)
+def test_damaged_model_store_entry_is_rebuilt(
+    tmp_path, models, monkeypatch, damaged
+):
+    """A store entry that does not rebuild into a bundle is a miss: the
+    bundle is built again and the entry overwritten with its payload."""
+    from repro.runner import model_store
+
+    builds = []
+
+    def build_models(**kwargs):
+        builds.append(kwargs)
+        return models
+
+    monkeypatch.setattr(model_store, "build_models", build_models)
+    path = tmp_path / "models" / (models_key(prbs_duration_s=40.0) + ".json")
+    path.parent.mkdir(parents=True)
+    path.write_text(damaged)
+    loaded = cached_build_models(root=str(tmp_path), prbs_duration_s=40.0)
+    assert len(builds) == 1
+    assert model_fingerprint(loaded) == model_fingerprint(models)
+    assert json.loads(path.read_text()) == models_to_payload(models)
+    # the rewritten entry now serves the next call without a build
+    cached_build_models(root=str(tmp_path), prbs_duration_s=40.0)
+    assert len(builds) == 1
+
+
 def test_runner_cache_discriminates_models(tmp_path, workload, models):
     """A DTPM result cached under one model set must miss under another."""
     cache = ResultCache(root=str(tmp_path))

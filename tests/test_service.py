@@ -191,6 +191,19 @@ def test_malformed_payloads_get_structured_400(service):
         assert fragment in body["error"]["message"]
 
 
+def test_inline_workload_with_negative_activity_is_a_400(service):
+    """A negative activity would run to negative dynamic power; the
+    workload's own check refuses it before any job starts."""
+    from repro.runner.wire import spec_to_wire
+
+    body = spec_to_wire(_spec())
+    body["workload"]["activity"] = -1.0
+    status, reply = _post(service, "/v1/runs", body)
+    assert status == 400
+    assert reply["error"]["type"] == "WorkloadError"
+    assert "activity" in reply["error"]["message"]
+
+
 def test_trace_route_falls_back_when_a_prune_wins_the_race(
     tmp_path, monkeypatch
 ):

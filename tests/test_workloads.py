@@ -137,3 +137,18 @@ def test_trace_validation():
         )
     with pytest.raises(WorkloadError):
         WorkloadPhase(duration_s=0.0)
+
+
+@pytest.mark.parametrize(
+    "field", ["activity", "gpu_activity", "mem_traffic", "demand_jitter"]
+)
+def test_trace_rejects_negative_load_factors(field):
+    import dataclasses
+
+    from repro.workloads import synthesize
+
+    app = synthesize("medium", 5.0, threads=2, seed=1)
+    # zero is a valid value; only a negative one is refused
+    dataclasses.replace(app, **{field: 0.0})
+    with pytest.raises(WorkloadError, match=field):
+        dataclasses.replace(app, **{field: -1.0})
