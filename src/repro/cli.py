@@ -14,15 +14,12 @@ Subcommands::
     python -m repro.cli cache prune        # bound / empty the result cache
     python -m repro.cli report             # cache-aware markdown report
     python -m repro.cli serve              # always-on evaluation service
-    python -m repro.cli worker             # remote batch-execution worker
 
 ``suite``, ``sweep``, ``matrix`` and ``report`` accept ``--workers N`` (process
-fan-out; a ``host:port,host:port`` list instead dispatches batches to
-remote ``repro-dtpm worker`` processes with byte-identical results),
-``--batch B`` (how many compatible runs one worker advances per
-control step; defaults to ``$REPRO_BATCH`` or 8) and ``--cache-dir DIR``
-(content-addressed result cache; defaults to ``$REPRO_CACHE_DIR`` when
-set), so repeated invocations are near-free.
+fan-out with byte-identical results), ``--batch B`` (how many compatible
+runs one worker advances per control step; defaults to ``$REPRO_BATCH``
+or 8) and ``--cache-dir DIR`` (content-addressed result cache; defaults
+to ``$REPRO_CACHE_DIR`` when set), so repeated invocations are near-free.
 ``matrix`` additionally takes ``--schedule A,B,...`` (repeatable) to run
 back-to-back app sequences with thermal-state carryover on the grid;
 positions may pin their own thermal mode (``A:dtpm,B``), and ``--days N``
@@ -114,25 +111,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _workers_arg(text: str):
-    """``--workers``: a process count or a remote worker endpoint list."""
-    if ":" in text:
-        from repro.distributed.protocol import parse_endpoints
-
-        try:
-            parse_endpoints(text)
-        except ConfigurationError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        return text
-    return _positive_int(text)
-
-
 def _add_runner_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--workers", type=_workers_arg, default=1,
-        help="process count for parallel fan-out (default: serial), or a "
-             "host:port,host:port list of repro-dtpm worker processes to "
-             "dispatch batches to (byte-identical results either way)")
+        "--workers", type=_positive_int, default=1,
+        help="process count for parallel fan-out (default: serial; "
+             "results are byte-identical either way)")
     parser.add_argument(
         "--batch", type=_positive_int, default=None,
         help="runs one worker advances per control step (default: "
@@ -409,7 +392,7 @@ def _cmd_matrix(args) -> int:
         args, models=_load_models(args) if needs_models else None
     )
     print(
-        "Running a %dx%d experiment matrix (%d runs, %s workers)..."
+        "Running a %dx%d experiment matrix (%d runs, %d workers)..."
         % (len(benchmarks) + len(schedules), len(modes), len(matrix),
            args.workers)
     )
@@ -555,14 +538,7 @@ def _cmd_serve(args) -> int:
         port=args.port,
         workers=args.workers,
         batch=args.batch,
-        dispatch=args.dispatch,
     )
-
-
-def _cmd_worker(args) -> int:
-    from repro.distributed.worker import run_worker
-
-    return run_worker(host=args.host, port=args.port)
 
 
 def _cmd_lint(args) -> int:
@@ -718,24 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="result-cache directory the service persists "
                             "to (default: $REPRO_CACHE_DIR; without one "
                             "results live in memory only)")
-    p_srv.add_argument("--dispatch", default=None, metavar="HOST:PORT,...",
-                       help="remote repro-dtpm worker endpoints cold jobs "
-                            "dispatch their batches to (results and cache "
-                            "writes are byte-identical to local execution)")
     p_srv.set_defaults(func=_cmd_serve)
-
-    p_wrk = sub.add_parser(
-        "worker",
-        help="start a remote batch-execution worker: a coordinator "
-             "(ParallelRunner(workers=\"host:port,...\") or serve "
-             "--dispatch) ships it spec batches over TCP and it answers "
-             "with byte-identical results; it never touches the cache",
-    )
-    p_wrk.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default: 127.0.0.1)")
-    p_wrk.add_argument("--port", type=int, default=8970,
-                       help="bind port (default: 8970; 0 picks a free one)")
-    p_wrk.set_defaults(func=_cmd_worker)
 
     from repro.devtools.cli import add_lint_arguments
 

@@ -13,10 +13,9 @@ numerically exact by construction.  A ``<key>.json`` without
 no current key reaches because ``spec_key`` hashes the format) is a miss
 that bulk reads skip and :func:`prune` still evicts.
 
-Every blob -- on disk or base64 on the distributed wire -- is decoded by
-:func:`trace_from_npz_bytes`, whose zip read checks the member's CRC-32:
-a damaged blob is a miss or a typed error, never a wrong trace, and no
-read writes to the store.
+Every blob is decoded by :func:`trace_from_npz_bytes`, whose zip read
+checks the member's CRC-32: a damaged blob is a miss or a typed error,
+never a wrong trace, and no read writes to the store.
 
 Files of a shard that belong to no entry are *stray files*: a blob whose
 summary never landed, a temp file a killed writer left behind, and what
@@ -41,7 +40,7 @@ The canonical *byte-identity* unit is :func:`result_bytes`: the whole
 result, every trace row included, as deterministic JSON (sorted keys,
 repr-round-tripped floats), so two equal :class:`RunResult` objects
 serialise to byte-identical payloads -- which is how the test-suite
-checks serial, parallel, distributed and cached execution agree.
+checks serial, parallel and cached execution agree.
 
 A cache without a root directory is an in-process memo (used by the
 benchmark harness when ``REPRO_CACHE_DIR`` is unset); with a root it
@@ -188,9 +187,8 @@ def is_summary(payload: Any) -> bool:
     """Whether ``payload`` is a well-formed current-format summary.
 
     The one check every reader applies before trusting a summary --
-    :func:`summary_row` (frame rows), :meth:`ResultCache.get` (a failing
-    entry is a miss) and the distributed wire decoder (a failing result
-    is a protocol error) -- so they agree on which entries exist:
+    :func:`summary_row` (frame rows) and :meth:`ResultCache.get` (a
+    failing entry is a miss) -- so they agree on which entries exist:
     ``"artifact": 2``, ``str`` benchmark and mode, ``bool`` completed,
     finite numbers for :data:`SUMMARY_FLOAT_FIELDS`, int64-range ints
     for :data:`SUMMARY_COUNT_FIELDS` (``bool`` is neither), ``notes`` and
@@ -338,11 +336,10 @@ def load_trace_blob(path: str) -> np.ndarray:
 def trace_from_npz_bytes(raw: bytes) -> np.ndarray:
     """The trace matrix of an npz blob's bytes -- the one blob decoder.
 
-    Store reads (:func:`load_trace_blob`) and the distributed wire
-    decoder both end here.  ``ZipFile.read`` checks the member's CRC-32,
-    so damaged bytes raise one of :data:`BLOB_ERRORS` instead of
-    decoding to a wrong matrix, and ``allow_pickle=False`` keeps the
-    member plain data.
+    Every store read ends here, through :func:`load_trace_blob`.
+    ``ZipFile.read`` checks the member's CRC-32, so damaged bytes raise
+    one of :data:`BLOB_ERRORS` instead of decoding to a wrong matrix,
+    and ``allow_pickle=False`` keeps the member plain data.
     """
     with zipfile.ZipFile(io.BytesIO(raw)) as zf:
         npy = zf.read(TRACE_MEMBER + ".npy")

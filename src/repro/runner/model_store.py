@@ -24,7 +24,11 @@ import numpy as np
 
 from repro.config import SimulationConfig
 from repro.errors import ModelError
-from repro.platform.specs import POWER_RESOURCES, PlatformSpec
+from repro.platform.specs import (
+    NUM_THERMAL_SENSORS,
+    POWER_RESOURCES,
+    PlatformSpec,
+)
 from repro.power.characterization import default_power_model
 from repro.power.leakage import LeakageModel
 from repro.runner.cache import atomic_write, default_cache_dir, loads_json
@@ -84,6 +88,8 @@ def payload_to_models(
     The power model is re-assembled from the platform's OPP tables with
     the stored leakage fits -- the same recipe ``make_dtpm_governor``
     applies per run, so a stored bundle behaves exactly like a fresh one.
+    A thermal model that does not map the platform's power inputs onto
+    its hotspots raises :class:`ModelError`.
     """
     t = payload["thermal"]
     thermal = DiscreteThermalModel(
@@ -92,6 +98,13 @@ def payload_to_models(
         offset=np.array(t["offset"], dtype=float),
         ts_s=float(t["ts_s"]),
     )
+    n, m = NUM_THERMAL_SENSORS, len(POWER_RESOURCES)
+    if thermal.a.shape != (n, n) or thermal.b.shape != (n, m):
+        raise ModelError(
+            "stored thermal model has A %s and B %s; the platform needs "
+            "A (%d, %d) and B (%d, %d)"
+            % (thermal.a.shape, thermal.b.shape, n, n, n, m)
+        )
     power = default_power_model(spec or PlatformSpec())
     for resource in POWER_RESOURCES:
         fit = payload["leakage"][str(resource.value)]

@@ -95,13 +95,8 @@ class ParallelRunner:
     Parameters
     ----------
     workers:
-        Process count for fan-out.  ``1`` (the default) runs in-process --
-        semantically identical, just serial.  A ``"host:port,host:port"``
-        string instead dispatches batches to remote ``repro-dtpm worker``
-        processes through :mod:`repro.distributed` -- same batch plan,
-        same execution path, results and content keys byte-identical to
-        a 1-host run (dead workers' batches are reassigned
-        transparently).
+        Process count for fan-out, a positive ``int``.  ``1`` (the
+        default) runs in-process -- semantically identical, just serial.
     cache:
         Optional :class:`ResultCache`.  Without one every spec executes.
     models:
@@ -118,20 +113,15 @@ class ParallelRunner:
 
     def __init__(
         self,
-        workers: Union[int, str] = 1,
+        workers: int = 1,
         cache: Optional[ResultCache] = None,
         models: Optional[ModelBundle] = None,
         batch: Optional[int] = None,
     ) -> None:
-        if isinstance(workers, str):
-            # validate the endpoint list now so a typo fails at
-            # construction, not mid-grid (import kept lazy: the runner
-            # must not drag the socket layer in for local runs)
-            from repro.distributed.protocol import parse_endpoints
-
-            parse_endpoints(workers)
-        elif workers < 1:
-            raise ConfigurationError("workers must be >= 1")
+        if not isinstance(workers, int) or workers < 1:
+            raise ConfigurationError(
+                "workers must be an int >= 1, got %r" % (workers,)
+            )
         if batch is None:
             batch = default_batch()
         if batch < 1:
@@ -286,8 +276,6 @@ class ParallelRunner:
         asked to use.  Either way results come back in spec order and
         are byte-identical to unbatched serial execution.
         """
-        if isinstance(self.workers, str):
-            return self._execute_remote(specs, models)
         if self.workers == 1 or len(specs) == 1:
             return execute_batch(specs, models=models, batch_size=self.batch)
         per_worker = -(-len(specs) // self.workers)
@@ -305,29 +293,3 @@ class ParallelRunner:
                 for i, chain in zip(job, job_chains):
                     chains[i] = chain
             return chains
-
-    def _execute_remote(
-        self, specs: List[RunSpec], models: Optional[ModelBundle]
-    ) -> List[List[RunResult]]:
-        """Ship the batch plan to remote workers; chains in spec order.
-
-        The same :func:`plan_batches` plan a local run would execute
-        becomes the unit of dispatch, and results reassemble by job
-        index, so key handling and cache writes upstream in :meth:`run`
-        are untouched -- an N-worker run is key-for-key and
-        byte-identical to a 1-host run.
-        """
-        from repro.distributed.coordinator import run_batches
-
-        assert isinstance(self.workers, str)
-        jobs = plan_batches(specs, self.batch)
-        job_chains = run_batches(
-            [[specs[i] for i in job] for job in jobs],
-            models=models,
-            workers=self.workers,
-        )
-        chains: List[Optional[List[RunResult]]] = [None] * len(specs)
-        for job, result_chains in zip(jobs, job_chains):
-            for i, chain in zip(job, result_chains):
-                chains[i] = chain
-        return chains

@@ -2,8 +2,8 @@
 
 Specs and grids travel as plain JSON in a canonical, versioned rendering
 (``"schema": 1``): the contract of the evaluation service
-(:mod:`repro.service`), the distributed runner, the CLI's grid
-construction and any out-of-process client.
+(:mod:`repro.service`), the CLI's grid construction and any
+out-of-process client.
 
 One field walk, :func:`_to_wire` and :func:`_from_wire`, carries every
 dataclass on the wire through its fields in declaration order, so no
@@ -371,16 +371,6 @@ _WALKS.update((cls, _Walk(cls, table)) for cls, table in _CODECS.items())
 # ---------------------------------------------------------------------------
 # versioned specs and grids
 # ---------------------------------------------------------------------------
-def is_wire_schema(value: Any) -> bool:
-    """Whether ``value`` names :data:`WIRE_SCHEMA` as a JSON integer.
-
-    The check of every versioned payload -- specs, grids and the
-    distributed ``hello`` frame.  Like an ``int`` field of the walk,
-    ``true`` and ``1.0`` are not the integer 1.
-    """
-    return _is_int(value) and value == WIRE_SCHEMA
-
-
 def _versioned_from_wire(cls: type, obj: Any, where: str) -> Any:
     payload = dict(_require_mapping(obj, where))
     if "schema" not in payload:
@@ -389,7 +379,8 @@ def _versioned_from_wire(cls: type, obj: Any, where: str) -> Any:
             % (where, WIRE_SCHEMA)
         )
     schema = payload.pop("schema")
-    if not is_wire_schema(schema):
+    # like an ``int`` field of the walk: ``true`` and ``1.0`` are not 1
+    if not (_is_int(schema) and schema == WIRE_SCHEMA):
         raise WireError(
             "%s has unsupported schema %r (this build speaks %d)"
             % (where, schema, WIRE_SCHEMA)

@@ -75,6 +75,10 @@ MAX_BODY_BYTES = 4 * 2**20
 #: keep-alive requests) before its handler thread gives up on it.
 REQUEST_TIMEOUT_S = 30.0
 
+#: What a write raises when the client went away, or stopped reading for
+#: REQUEST_TIMEOUT_S (a blocking send past SO_SNDTIMEO: BlockingIOError).
+_CLIENT_GONE = (BrokenPipeError, ConnectionResetError, BlockingIOError)
+
 #: Entries kept in the warm-response memo before it is cleared whole.
 WARM_MEMO_LIMIT = 4096
 
@@ -99,10 +103,6 @@ class EvaluationService:
         Background job worker threads (cold-path concurrency).
     batch:
         Lock-step batch width inside each job (``$REPRO_BATCH`` default).
-    dispatch:
-        Optional ``"host:port,..."`` list of remote ``repro-dtpm worker``
-        processes; jobs then execute their batches there
-        (:mod:`repro.distributed`) with byte-identical results.
     """
 
     def __init__(
@@ -113,7 +113,6 @@ class EvaluationService:
         port: int = 0,
         workers: int = 2,
         batch: Optional[int] = None,
-        dispatch: Optional[str] = None,
         verbose: bool = False,
     ) -> None:
         if cache is None:
@@ -128,7 +127,6 @@ class EvaluationService:
             else partial(cached_build_models, root=cache.root),
             workers=workers,
             batch=batch,
-            dispatch=dispatch,
         )
         self._memo_lock = threading.Lock()
         self._warm_memo: Dict[bytes, bytes] = {}  # guarded-by: _memo_lock
@@ -227,16 +225,23 @@ class _Handler(BaseHTTPRequestHandler):
     def setup(self) -> None:
         super().setup()
         # a stalled client -- a body shorter than its Content-Length, an
-        # idle keep-alive connection -- frees its thread after
-        # REQUEST_TIMEOUT_S: the kernel's receive timeout ends the read
-        # short.  (StreamRequestHandler.timeout, i.e. socket.settimeout,
-        # polls before every recv and send, which costs the warm path.)
+        # idle keep-alive connection, a reader that stops mid-reply --
+        # frees its thread after REQUEST_TIMEOUT_S: the kernel's receive
+        # timeout ends the read short, its send timeout fails the write.
+        # (StreamRequestHandler.timeout, i.e. socket.settimeout, polls
+        # before every recv and send, which costs the warm path.)
         seconds, fraction = divmod(REQUEST_TIMEOUT_S, 1.0)
-        self.connection.setsockopt(
-            socket.SOL_SOCKET,
-            socket.SO_RCVTIMEO,
-            struct.pack("ll", int(seconds), int(fraction * 1e6)),
-        )
+        timeout = struct.pack("ll", int(seconds), int(fraction * 1e6))
+        for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
+            self.connection.setsockopt(socket.SOL_SOCKET, option, timeout)
+
+    def handle_one_request(self) -> None:
+        # every write path ends here: a failed write may have sent part
+        # of a reply, so the connection closes with no further reply
+        try:
+            super().handle_one_request()
+        except _CLIENT_GONE:
+            self.close_connection = True
 
     def parse_request(self) -> bool:
         # A plain HTTP/1.1 request line reads its headers here: the
@@ -311,12 +316,7 @@ class _Handler(BaseHTTPRequestHandler):
         return body
 
     def _send_error_json(self, code: int, kind: str, message: str) -> None:
-        try:
-            self._send_json(
-                code, {"error": {"type": kind, "message": message}}
-            )
-        except (BrokenPipeError, ConnectionResetError):  # client went away
-            self.close_connection = True
+        self._send_json(code, {"error": {"type": kind, "message": message}})
 
     def _read_body(self) -> Optional[bytes]:
         try:
@@ -350,16 +350,16 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - stdlib contract
         try:
             self._route_get(urlsplit(self.path).path)
-        except (BrokenPipeError, ConnectionResetError):  # client went away
-            pass
+        except _CLIENT_GONE:
+            raise  # no 500 after a partial reply
         except Exception as exc:  # noqa: BLE001 - keep the server alive
             self._send_error_json(500, type(exc).__name__, str(exc))
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib contract
         try:
             self._route_post(urlsplit(self.path).path)
-        except (BrokenPipeError, ConnectionResetError):
-            pass
+        except _CLIENT_GONE:
+            raise  # no 500 after a partial reply
         except ServiceClosed as exc:
             self._send_error_json(503, "shutting_down", str(exc))
         except json.JSONDecodeError as exc:
@@ -520,7 +520,6 @@ def serve(
     workers: int = 2,
     batch: Optional[int] = None,
     models: Optional[ModelBundle] = None,
-    dispatch: Optional[str] = None,
     verbose: bool = True,
 ) -> int:
     """Run the service in the foreground (the ``repro-dtpm serve`` body).
@@ -531,7 +530,7 @@ def serve(
     cache = ResultCache(root=cache_dir if cache_dir else default_cache_dir())
     service = EvaluationService(
         cache=cache, models=models, host=host, port=port,
-        workers=workers, batch=batch, dispatch=dispatch, verbose=verbose,
+        workers=workers, batch=batch, verbose=verbose,
     )
     where = (
         "in-memory only (no --cache-dir; results do not persist)"
@@ -541,8 +540,6 @@ def serve(
     print("repro-dtpm evaluation service on %s" % service.url)
     print("  cache: %s" % where)
     print("  workers: %d, batch: %d" % (workers, service.jobs.batch))
-    if dispatch:
-        print("  dispatch: %s" % dispatch)
     try:
         service.serve_forever()
     except KeyboardInterrupt:

@@ -104,12 +104,6 @@ class JobQueue:
     batch:
         Batch width inside each job; ``None`` resolves to ``$REPRO_BATCH``
         or the built-in default.
-    dispatch:
-        Optional ``"host:port,host:port"`` list of remote
-        ``repro-dtpm worker`` processes.  When set, each job's runner
-        ships its batches to those workers instead of executing
-        in-process -- results and cache writes are byte-identical either
-        way (the runner on this host stays the only cache writer).
     """
 
     def __init__(
@@ -118,13 +112,11 @@ class JobQueue:
         models: "Optional[ModelBundle | Callable[[], ModelBundle]]" = None,
         workers: int = 2,
         batch: Optional[int] = None,
-        dispatch: Optional[str] = None,
     ) -> None:
         if workers < 1:
             raise SimulationError("the job queue needs at least one worker")
         self.cache = cache
         self.batch = default_batch() if batch is None else batch
-        self.dispatch = dispatch
         self._models_lock = threading.Lock()
         self._models: Optional[ModelBundle] = (  # guarded-by: _models_lock
             models if isinstance(models, ModelBundle) else None
@@ -267,10 +259,7 @@ class JobQueue:
                 else self._peek_models()
             )
             runner = ParallelRunner(
-                workers=self.dispatch or 1,
-                cache=self.cache,
-                models=models,
-                batch=self.batch,
+                cache=self.cache, models=models, batch=self.batch
             )
             # chunk by the batch plan so progress advances as each
             # lock-stepped group of compatible runs lands in the cache

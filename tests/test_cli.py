@@ -251,3 +251,17 @@ def test_serve_parser_accepts_overrides():
         "0.0.0.0", 9000, 4, 2
     )
     assert args.cache_dir == "/tmp/c"
+
+
+@pytest.mark.parametrize("argv", [
+    ["worker"],
+    ["worker", "--port", "8970"],
+    ["matrix", "--workers", "127.0.0.1:8970"],
+    ["serve", "--dispatch", "127.0.0.1:8970"],
+], ids=["worker", "worker-port", "workers-endpoint", "serve-dispatch"])
+def test_remote_execution_forms_are_usage_errors(argv, capsys):
+    # one executor per batch plan: in-process or the local process pool
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err

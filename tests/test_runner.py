@@ -186,6 +186,10 @@ def test_second_invocation_executes_nothing(tmp_path, workload):
 def test_runner_rejects_bad_inputs(workload):
     with pytest.raises(ConfigurationError):
         ParallelRunner(workers=0)
+    # a process count is an int: no string form, endpoint lists included
+    for workers in ("2", "host:1"):
+        with pytest.raises(ConfigurationError):
+            ParallelRunner(workers=workers)
     with pytest.raises(ConfigurationError):
         ParallelRunner().run([workload])  # not a RunSpec
 

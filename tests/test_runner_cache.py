@@ -303,6 +303,42 @@ def test_half_removed_entry_reads_as_miss_and_reprunes(tmp_path, workload, resul
     assert disk_usage(str(tmp_path)).entries == 0
 
 
+def test_failure_between_blob_and_summary_writes_leaves_a_stray_blob(
+    tmp_path, workload, result, monkeypatch
+):
+    """A disk that fills up after the blob landed fails the put before its
+    commit point: readers miss the key, the blob is one stray file, and a
+    later put of the key commits the same bytes and leaves no stray."""
+    import errno
+
+    cache = ResultCache(root=str(tmp_path), memory=False)
+    key = spec_key(RunSpec(workload=workload, mode=ThermalMode.NO_FAN))
+    replace = os.replace
+
+    def disk_full_at_summary(src, dst):
+        if dst.endswith(".json"):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), dst)
+        replace(src, dst)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", disk_full_at_summary)
+        with pytest.raises(OSError) as exc:
+            cache.put(key, result)
+    assert exc.value.errno == errno.ENOSPC
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+    fresh = ResultCache(root=str(tmp_path), memory=False)
+    assert fresh.get(key) is None
+    assert fresh.keys() == []
+    usage = disk_usage(str(tmp_path))
+    assert (usage.entries, usage.stray_files) == (0, 1)
+
+    cache.put(key, result)
+    fresh = ResultCache(root=str(tmp_path), memory=False)
+    assert result_bytes(fresh.get(key)) == result_bytes(result)
+    assert disk_usage(str(tmp_path)).stray_files == 0
+
+
 def test_prune_collects_stale_orphan_blobs_keeps_models(tmp_path):
     shard = tmp_path / "ab" / "00"
     shard.mkdir(parents=True)
@@ -401,8 +437,18 @@ def test_cached_build_models_store(tmp_path, models, monkeypatch):
         "[" * 200_000,
         '{"thermal": {"a": [[1]], "b": [[1]], "offset": [0], "ts_s": 1%s},'
         ' "leakage": {}}' % ("0" * 400),
+        # well-formed, but a 1x1 model of a platform with 4 hotspots
+        json.dumps({
+            "thermal": {"a": [[0.5]], "b": [[0.1]], "offset": [0.0],
+                        "ts_s": 0.1},
+            "leakage": {
+                r: {"c1": 1.0, "c2": -2000.0, "i_gate": 0.01}
+                for r in ("big", "little", "gpu", "mem")
+            },
+        }),
     ],
-    ids=["list", "thermal-list", "bad-thermal", "deep", "overflow"],
+    ids=["list", "thermal-list", "bad-thermal", "deep", "overflow",
+         "wrong-shape"],
 )
 def test_damaged_model_store_entry_is_rebuilt(
     tmp_path, models, monkeypatch, damaged

@@ -383,6 +383,59 @@ def test_body_cut_short_by_the_client_is_a_400(service):
     assert _get(service, "/healthz")[0] == 200
 
 
+def test_client_that_stops_reading_mid_reply_is_dropped(
+    tmp_path, monkeypatch, capsys
+):
+    """A client that asks for a blob larger than the socket buffers and
+    then reads nothing holds a handler thread for REQUEST_TIMEOUT_S at
+    most: the send times out, the connection closes after the part that
+    was sent, with no 500 after it and no traceback."""
+    import dataclasses
+    import os
+    import socket
+
+    import numpy as np
+
+    from repro.service import http
+    from repro.sim.run_result import TraceRecorder
+
+    monkeypatch.setattr(http, "REQUEST_TIMEOUT_S", 0.5)
+    result = ParallelRunner(workers=1).run([_spec(seed=17)])[0]
+    rows = result.trace.array()
+    # ~16 MB of trace: well past a 4 MiB send buffer plus what the
+    # client's untouched receive buffer takes
+    big = np.tile(rows, (-(-2_000_000 // rows.size), 1))
+    result = dataclasses.replace(
+        result, trace=TraceRecorder.from_array(result.trace.columns, big)
+    )
+    key = "ef" * 32
+    cache = ResultCache(root=str(tmp_path), memory=False)
+    cache.put(key, result)
+    blob_size = os.path.getsize(cache.trace_path(key))
+    assert blob_size > 12 * 2**20
+    svc = EvaluationService(cache=cache, workers=1).start()
+    try:
+        with socket.create_connection(svc.address, timeout=10.0) as sock:
+            sock.sendall(b"GET /v1/runs/%s/trace HTTP/1.1\r\nHost: x\r\n"
+                         b"\r\n" % key.encode())
+            time.sleep(2.0)  # read nothing for 4x the server's timeout
+            reply = b""
+            while True:  # socket.timeout here: the server never let go
+                chunk = sock.recv(2**20)
+                if not chunk:
+                    break
+                reply += chunk
+    finally:
+        svc.shutdown(drain=False)
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert _status_of(head) == 200
+    assert b"Content-Length: %d" % blob_size in head
+    assert 0 < len(body) < blob_size  # cut short, and nothing after it
+    with open(cache.trace_path(key), "rb") as fh:
+        assert body == fh.read(len(body))
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # request heads: the service reads HTTP/1.1 headers itself
 # ---------------------------------------------------------------------------
